@@ -157,15 +157,17 @@ def _write_manifest(args, cfg, inputs):
 
 
 def _infer_label(path, fmt):
+    """Class index from the file's location: the NTU `A###` action field of
+    the name, or the SBU `01`..`08` class directory. ParseError otherwise."""
     if fmt == "ntu":
         m = re.search(r"A(\d{3})", path.stem)
-        if m:
+        if m and int(m.group(1)) >= 1:
             return int(m.group(1)) - 1
-    if fmt == "sbu":
-        for part in reversed(path.parent.parts):
-            if re.fullmatch(r"0[1-8]", part):
-                return int(part) - 1
-    return 0
+        raise ParseError(f"no action field A001..A999 in file name {path.name!r}")
+    for part in reversed(path.parent.parts):
+        if re.fullmatch(r"0[1-8]", part):
+            return int(part) - 1
+    raise ParseError(f"{path} lies in no class directory 01..08")
 
 
 def _part_map_for(j):
@@ -223,10 +225,32 @@ def cmd_prepare(args):
     return 0
 
 
+# what a sidecar's graphs depend on besides the coordinates
+_GRAPH_SETTINGS = (("spm", "T"), ("spm", "P"), ("spm", "stride"), ("spm", "padding"),
+                   ("dsig", "k"))
+
+
+def _sidecars_fit(data_dir, cfg):
+    """Whether the manifest `prepare` left in `data_dir` records the graph
+    settings of `cfg`, so the directory's .igfd sidecars hold its graphs."""
+    current = cfgmod.to_sections(cfg)
+    try:
+        with open(Path(data_dir) / "manifest.json", "r", encoding="utf-8") as fh:
+            recorded = json.load(fh)["config"]
+        return all(recorded[section][key] == current[section][key]
+                   for section, key in _GRAPH_SETTINGS)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
+
+
 def _load_prepared(data_dir, cfg):
     files = sorted(Path(data_dir).glob("*.igf"))
     if not files:
         raise ConfigError(f"no prepared samples (*.igf) in {data_dir}")
+    trust_sidecars = _sidecars_fit(data_dir, cfg)
+    if not trust_sidecars:
+        log.info("rebuilding graphs: %s/manifest.json does not record this config's "
+                 "window geometry and k", data_dir)
     prepared = []
     part_map = None
     for path in files:
@@ -236,7 +260,7 @@ def _load_prepared(data_dir, cfg):
             part_map = _part_map_for(padded.person_a.J)
         graphs = None
         sidecar = path.with_suffix(".igfd")
-        if sidecar.exists():
+        if trust_sidecars and sidecar.exists():
             m, k, ab, ba = gmod.read_sidecar(sidecar.read_bytes())
             if m == cfg.spm.M(part_map.B) and k == cfg.dsig.k:
                 graphs = gmod.InteractionGraphs(None, None, ab, ba, k)
@@ -274,14 +298,13 @@ def cmd_train(args):
 
 
 def _load_model(checkpoint_path, cfg, part_map):
+    """The checkpoint's model, built from its arrays alone (no random init)."""
     digest, params = mmod.load_checkpoint(Path(checkpoint_path).read_bytes())
     want = cfgmod.architecture_digest(cfg)
     if digest != want:
         raise ConfigError(f"checkpoint digest {digest} does not match the "
                           f"config's architecture digest {want}")
-    model = mmod.init_params(cfg.model, seed=0, part_map=part_map)
-    mmod.apply_checkpoint(model, params)
-    return model
+    return mmod.restore_params(cfg.model, params, part_map=part_map)
 
 
 def cmd_eval(args):
@@ -309,7 +332,8 @@ def cmd_inspect_graph(args):
     if not 0 <= args.itb < cfg.model.N:
         raise ConfigError(f"--itb must be in 0..{cfg.model.N - 1}")
     collect = {}
-    model.forward(padded, graphs, collect=collect)
+    with model.inference():
+        model.forward(padded, graphs, collect=collect)
     block = collect[f"itb{args.itb}"]
 
     def dump(name, matrix):

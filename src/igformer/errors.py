@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checked reads the
+binary and text readers use to turn malformed input into ParseError.
 
 The CLI maps these onto exit codes: user-facing problems (ConfigError,
 ParseError) exit 1, broken internal invariants exit 2.
 """
+
+import struct
 
 
 class ConfigError(ValueError):
@@ -33,3 +36,24 @@ class UsageError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; carries a parameter/gradient norm report."""
+
+
+def need(data, offset, size, what):
+    """ParseError unless `data` holds `size` bytes from `offset` on."""
+    if offset + size > len(data):
+        raise ParseError(f"file ends inside {what}: {size} bytes needed at offset "
+                         f"{offset}, {len(data)} bytes in file")
+
+
+def unpack(fmt, data, offset, what):
+    """struct.unpack_from, with ParseError instead of struct.error on short input."""
+    need(data, offset, struct.calcsize(fmt), what)
+    return struct.unpack_from(fmt, data, offset)
+
+
+def decode_utf8(raw, what):
+    """UTF-8 text of `raw`, with ParseError for undecodable bytes."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not valid UTF-8: {exc}") from None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, unpack
 from .spm import time_major_permutation
 
 SIDECAR_MAGIC = b"IGFD"
@@ -137,14 +137,14 @@ def read_sidecar(data):
     """Returns (M, k, dsig_ab, dsig_ba); distance matrices are not stored."""
     if data[:4] != SIDECAR_MAGIC:
         raise ParseError(f"bad magic {data[:4]!r}, expected {SIDECAR_MAGIC!r}")
-    m, k = struct.unpack_from("<II", data, 4)
+    m, k = unpack("<II", data, 4, "sidecar header")
     nbytes = (m * m + 7) // 8
     if len(data) != 12 + 2 * nbytes:
         raise ParseError(f"sidecar length {len(data)} != expected {12 + 2 * nbytes}")
-    def unpack(off):
+    def graph_at(off):
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))
         return bits[:m * m].reshape(m, m).astype(np.float64)
-    return m, k, unpack(12), unpack(12 + nbytes)
+    return m, k, graph_at(12), graph_at(12 + nbytes)
 
 
 def graphs_from_sidecar(data):

@@ -15,6 +15,7 @@ Checkpoint file layout (little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import struct
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import MODES, GiMsaParams, gi_msa
-from .errors import ConfigError, ParseError, ShapeError
+from .errors import ConfigError, ParseError, ShapeError, decode_utf8, need, unpack
 from .graphs import DistanceGraphConfig
 from .skeleton import builtin_part_map
 from .spm import SpmConfig, add_positional, spm_forward
@@ -189,6 +190,22 @@ class IGFormer:
         for p in self.registry.values():
             p.grad = None
 
+    @contextlib.contextmanager
+    def inference(self):
+        """Forwards inside this block record no tape: the parameters stop
+        requiring gradients, so no op builds a backward closure or keeps its
+        parents. Logits are bit-identical to a taped forward. Every
+        parameter gets its flag back on exit, also when the block raises."""
+        params = list(self.registry.values())
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield self
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
+
     def tokenize(self, seq):
         bpt = spm_forward(seq, self.part_map, self.cfg.spm,
                           self.conv_kernel, self.conv_bias)
@@ -235,6 +252,85 @@ def trunc_normal(rng, shape, std=TRUNC_STD):
     return x
 
 
+def _assemble(cfg, part_map, param):
+    """The model's structure, one parameter at a time.
+
+    `param(name, shape, init)` supplies each parameter's tensor; `init` names
+    its initializer ("fan_in", "mixer", "posenc", "zeros" or "ones"). The walk
+    visits parameters in the seeded initializer's draw order and registers
+    them in checkpoint order; with tied person branches the second person
+    reuses the first person's objects.
+    """
+    if part_map is None:
+        part_map = builtin_part_map(15)
+    registry = {}
+
+    def make(name, init, *shape):
+        t = param(name, shape, init)
+        registry[name] = t
+        return t
+
+    def ln(prefix):
+        return LayerNormParams(make(f"{prefix}.gamma", "ones", cfg.D),
+                               make(f"{prefix}.beta", "zeros", cfg.D))
+
+    def ffn(prefix):
+        return FfnParams(make(f"{prefix}.w1", "fan_in", cfg.D, cfg.ffn_width),
+                         make(f"{prefix}.b1", "zeros", cfg.ffn_width),
+                         make(f"{prefix}.w2", "fan_in", cfg.ffn_width, cfg.D),
+                         make(f"{prefix}.b2", "zeros", cfg.D))
+
+    spm_cfg = cfg.spm
+    B = part_map.B
+    kernel_shape = (cfg.D, spm_cfg.P, spm_cfg.P, 3)
+    if spm_cfg.per_part_conv:
+        conv_kernel = [make(f"spm.conv{p}.kernel", "fan_in", *kernel_shape) for p in range(B)]
+        conv_bias = [make(f"spm.conv{p}.bias", "zeros", cfg.D) for p in range(B)]
+    else:
+        conv_kernel = make("spm.conv.kernel", "fan_in", *kernel_shape)
+        conv_bias = make("spm.conv.bias", "zeros", cfg.D)
+    posenc = make("spm.posenc", "posenc", spm_cfg.M(B), cfg.D)
+
+    d = cfg.D // cfg.h
+    itbs = []
+    for i in range(cfg.N):
+        se = SeParams(
+            ln1=ln(f"itb{i}.se.ln1"),
+            wq=make(f"itb{i}.se.attn.wq", "fan_in", cfg.D, cfg.D),
+            bq=make(f"itb{i}.se.attn.bq", "zeros", cfg.D),
+            wk=make(f"itb{i}.se.attn.wk", "fan_in", cfg.D, cfg.D),
+            bk=make(f"itb{i}.se.attn.bk", "zeros", cfg.D),
+            wv=make(f"itb{i}.se.attn.wv", "fan_in", cfg.D, cfg.D),
+            bv=make(f"itb{i}.se.attn.bv", "zeros", cfg.D),
+            wo=make(f"itb{i}.se.attn.wo", "fan_in", cfg.D, cfg.D),
+            bo=make(f"itb{i}.se.attn.bo", "zeros", cfg.D),
+            ln2=ln(f"itb{i}.se.ln2"),
+            ffn=ffn(f"itb{i}.se.ffn"),
+        )
+        alphas = [make(f"itb{i}.gi.h{j}.alpha", "ones") for j in range(cfg.h)]
+        gi = GiMsaParams(
+            wq=[make(f"itb{i}.gi.h{j}.wq", "fan_in", d, d) for j in range(cfg.h)],
+            wk=[make(f"itb{i}.gi.h{j}.wk", "fan_in", d, d) for j in range(cfg.h)],
+            wv=[make(f"itb{i}.gi.h{j}.wv", "fan_in", d, d) for j in range(cfg.h)],
+            alpha=alphas,
+            wm=make(f"itb{i}.gi.wm", "mixer", cfg.D, cfg.D),
+            wn=None,
+        )
+        out_m = BranchParams(ln=ln(f"itb{i}.out_m.ln"), ffn=ffn(f"itb{i}.out_m.ffn"))
+        if cfg.tie_person_branches:
+            gi.wn = gi.wm
+            out_n = out_m
+        else:
+            gi.wn = make(f"itb{i}.gi.wn", "mixer", cfg.D, cfg.D)
+            out_n = BranchParams(ln=ln(f"itb{i}.out_n.ln"), ffn=ffn(f"itb{i}.out_n.ffn"))
+        itbs.append(ItbParams(se=se, gi=gi, out_m=out_m, out_n=out_n))
+
+    head_w = make("head.w", "fan_in", cfg.D, cfg.num_classes)
+    head_b = make("head.b", "zeros", cfg.num_classes)
+    return IGFormer(cfg, part_map, registry, itbs, conv_kernel, conv_bias,
+                    posenc, head_w, head_b)
+
+
 def init_params(cfg, seed=0, part_map=None):
     """Deterministic fresh parameters: fan-in-scaled truncated-normal maps,
     a std-0.02 positional table, zero biases, unit LayerNorm gains, and
@@ -245,100 +341,48 @@ def init_params(cfg, seed=0, part_map=None):
     the reference learning rate (the interaction mixer multiplies the whole
     residual stream, so it additionally starts near the identity).
     """
-    if part_map is None:
-        part_map = builtin_part_map(15)
     rng = np.random.default_rng(seed)
-    registry = {}
 
-    def weight(name, *shape):
-        fan_in = int(np.prod(shape[1:])) if len(shape) > 2 else shape[0]
-        t = T.Tensor(trunc_normal(rng, shape, std=1.0 / math.sqrt(fan_in)),
-                     requires_grad=True)
-        registry[name] = t
-        return t
-
-    def mixer_weight(name):
-        t = T.Tensor(np.eye(cfg.D) + trunc_normal(rng, (cfg.D, cfg.D),
-                                                  std=1.0 / math.sqrt(cfg.D)),
-                     requires_grad=True)
-        registry[name] = t
-        return t
-
-    def zeros(name, *shape):
-        t = T.Tensor(np.zeros(shape), requires_grad=True)
-        registry[name] = t
-        return t
-
-    def ones(name, *shape):
-        t = T.Tensor(np.ones(shape), requires_grad=True)
-        registry[name] = t
-        return t
-
-    def ln(prefix):
-        return LayerNormParams(ones(f"{prefix}.gamma", cfg.D),
-                               zeros(f"{prefix}.beta", cfg.D))
-
-    def ffn(prefix):
-        return FfnParams(weight(f"{prefix}.w1", cfg.D, cfg.ffn_width),
-                         zeros(f"{prefix}.b1", cfg.ffn_width),
-                         weight(f"{prefix}.w2", cfg.ffn_width, cfg.D),
-                         zeros(f"{prefix}.b2", cfg.D))
-
-    spm_cfg = cfg.spm
-    B = part_map.B
-    M = spm_cfg.M(B)
-    if spm_cfg.per_part_conv:
-        conv_kernel = [weight(f"spm.conv{p}.kernel", cfg.D, spm_cfg.P, spm_cfg.P, 3)
-                       for p in range(B)]
-        conv_bias = [zeros(f"spm.conv{p}.bias", cfg.D) for p in range(B)]
-    else:
-        conv_kernel = weight("spm.conv.kernel", cfg.D, spm_cfg.P, spm_cfg.P, 3)
-        conv_bias = zeros("spm.conv.bias", cfg.D)
-    posenc = T.Tensor(trunc_normal(rng, (M, cfg.D)), requires_grad=True)
-    registry["spm.posenc"] = posenc
-
-    d = cfg.D // cfg.h
-    itbs = []
-    for i in range(cfg.N):
-        se = SeParams(
-            ln1=ln(f"itb{i}.se.ln1"),
-            wq=weight(f"itb{i}.se.attn.wq", cfg.D, cfg.D),
-            bq=zeros(f"itb{i}.se.attn.bq", cfg.D),
-            wk=weight(f"itb{i}.se.attn.wk", cfg.D, cfg.D),
-            bk=zeros(f"itb{i}.se.attn.bk", cfg.D),
-            wv=weight(f"itb{i}.se.attn.wv", cfg.D, cfg.D),
-            bv=zeros(f"itb{i}.se.attn.bv", cfg.D),
-            wo=weight(f"itb{i}.se.attn.wo", cfg.D, cfg.D),
-            bo=zeros(f"itb{i}.se.attn.bo", cfg.D),
-            ln2=ln(f"itb{i}.se.ln2"),
-            ffn=ffn(f"itb{i}.se.ffn"),
-        )
-        alphas = []
-        for j in range(cfg.h):
-            t = T.Tensor(1.0, requires_grad=True)
-            registry[f"itb{i}.gi.h{j}.alpha"] = t
-            alphas.append(t)
-        gi = GiMsaParams(
-            wq=[weight(f"itb{i}.gi.h{j}.wq", d, d) for j in range(cfg.h)],
-            wk=[weight(f"itb{i}.gi.h{j}.wk", d, d) for j in range(cfg.h)],
-            wv=[weight(f"itb{i}.gi.h{j}.wv", d, d) for j in range(cfg.h)],
-            alpha=alphas,
-            wm=mixer_weight(f"itb{i}.gi.wm"),
-            wn=None,
-        )
-        out_m = BranchParams(ln=ln(f"itb{i}.out_m.ln"), ffn=ffn(f"itb{i}.out_m.ffn"))
-        if cfg.tie_person_branches:
-            gi.wn = gi.wm
-            out_n = out_m
+    def draw(name, shape, init):
+        if init == "zeros":
+            data = np.zeros(shape)
+        elif init == "ones":
+            data = np.ones(shape)
+        elif init == "posenc":
+            data = trunc_normal(rng, shape)
+        elif init == "mixer":
+            data = np.eye(shape[0]) + trunc_normal(rng, shape, std=1.0 / math.sqrt(shape[0]))
         else:
-            gi.wn = mixer_weight(f"itb{i}.gi.wn")
-            out_n = BranchParams(ln=ln(f"itb{i}.out_n.ln"), ffn=ffn(f"itb{i}.out_n.ffn"))
-        itbs.append(ItbParams(se=se, gi=gi, out_m=out_m, out_n=out_n))
+            fan_in = int(np.prod(shape[1:])) if len(shape) > 2 else shape[0]
+            data = trunc_normal(rng, shape, std=1.0 / math.sqrt(fan_in))
+        return T.Tensor(data, requires_grad=True)
 
-    head_w = weight("head.w", cfg.D, cfg.num_classes)
-    head_b = zeros("head.b", cfg.num_classes)
-    return IGFormer(cfg, part_map, registry, itbs, conv_kernel, conv_bias,
-                    posenc, head_w, head_b)
+    return _assemble(cfg, part_map, draw)
+
+
+def restore_params(cfg, params, part_map=None):
+    """The model whose parameters are the arrays `params` ({name: array}, as
+    `load_checkpoint` returns them), adopted without a copy and without
+    drawing any random numbers. Raises ConfigError when the arrays do not fit
+    the structure `cfg` describes."""
+    shapes = {}
+
+    def take(name, shape, init):
+        shapes[name] = shape
+        arr = params.get(name)
+        if arr is None or arr.shape != shape:
+            arr = np.broadcast_to(0.0, shape)  # placeholder; rejected below
+        return T.Tensor(arr, requires_grad=True)
+
+    model = _assemble(cfg, part_map, take)
+    missing = sorted(set(shapes) - set(params))
+    extra = sorted(set(params) - set(shapes))
+    if missing or extra:
+        raise ConfigError(f"checkpoint does not fit model: missing {missing}, extra {extra}")
+    for name, arr in params.items():
+        if arr.shape != shapes[name]:
+            raise ConfigError(f"{name}: checkpoint shape {arr.shape} != model {shapes[name]}")
+    return model
 
 
 def expected_param_count(cfg, B=5):
@@ -360,6 +404,7 @@ def expected_param_count(cfg, B=5):
 # -- checkpoints ----------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"IGFC"
+MAX_RANK = 32  # the most axes any numpy version supports
 
 
 def save_checkpoint(model, digest):
@@ -383,43 +428,39 @@ def save_checkpoint(model, digest):
 
 
 def load_checkpoint(data):
-    """Returns (digest, {name: array})."""
+    """Returns (digest, {name: array}); ParseError for bytes that do not
+    follow the layout, truncated ones included."""
     if data[:4] != CHECKPOINT_MAGIC:
         raise ParseError(f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
     off = 4
-    (dlen,) = struct.unpack_from("<I", data, off)
+    (dlen,) = unpack("<I", data, off, "digest length")
     off += 4
-    digest = data[off:off + dlen].decode("utf-8")
+    need(data, off, dlen, "digest")
+    digest = decode_utf8(data[off:off + dlen], "digest")
     off += dlen
-    (count,) = struct.unpack_from("<I", data, off)
+    (count,) = unpack("<I", data, off, "parameter count")
     off += 4
     params = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off)
+        (nlen,) = unpack("<I", data, off, "parameter name length")
         off += 4
-        name = data[off:off + nlen].decode("utf-8")
+        need(data, off, nlen, "parameter name")
+        name = decode_utf8(data[off:off + nlen], "parameter name")
         off += nlen
-        (rank,) = struct.unpack_from("<I", data, off)
+        if name in params:
+            raise ParseError(f"parameter {name!r} appears twice")
+        (rank,) = unpack("<I", data, off, f"{name} rank")
         off += 4
-        shape = struct.unpack_from(f"<{rank}I", data, off) if rank else ()
+        if rank > MAX_RANK:
+            raise ParseError(f"{name} has rank {rank}, more than {MAX_RANK}")
+        need(data, off, 4 * rank, f"{name} shape")
+        shape = struct.unpack_from(f"<{rank}I", data, off)
         off += 4 * rank
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
+        need(data, off, 8 * n, f"{name} data")
         arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
         off += 8 * n
         params[name] = arr.copy()
     if off != len(data):
         raise ParseError(f"{len(data) - off} trailing bytes in checkpoint")
     return digest, params
-
-
-def apply_checkpoint(model, params):
-    registry = model.named_parameters()
-    missing = sorted(set(registry) - set(params))
-    extra = sorted(set(params) - set(registry))
-    if missing or extra:
-        raise ConfigError(f"checkpoint does not fit model: missing {missing}, extra {extra}")
-    for name, arr in params.items():
-        t = registry[name]
-        if arr.shape != t.data.shape:
-            raise ConfigError(f"{name}: checkpoint shape {arr.shape} != model {t.data.shape}")
-        t.data[...] = arr

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, decode_utf8, need, unpack
 
 log = logging.getLogger("igformer")
 
@@ -183,7 +183,7 @@ def add_joint_noise(seq, sigma_m, rng_seed=0):
 class _Lines:
     def __init__(self, data):
         if isinstance(data, bytes):
-            data = data.decode("utf-8", errors="strict")
+            data = decode_utf8(data, "skeleton file")
         self._lines = data.splitlines()
         self._pos = 0
 
@@ -282,7 +282,7 @@ def parse_sbu(data, label=0, source_id=""):
     carry exactly 91 fields. Coordinates stay in the file's normalized units.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8", errors="strict")
+        data = decode_utf8(data, "SBU file")
     rows = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
         line = raw.strip()
@@ -322,9 +322,10 @@ def read_canonical(data):
     """Parse canonical bytes back into an InteractionSample (bit-exact coords)."""
     if data[:4] != CANONICAL_MAGIC:
         raise ParseError(f"bad magic {data[:4]!r}, expected {CANONICAL_MAGIC!r}")
-    j, t, label, sid_len = struct.unpack_from("<IIiI", data, 4)
+    j, t, label, sid_len = unpack("<IIiI", data, 4, "sample header")
     off = 4 + 16
-    source_id = data[off:off + sid_len].decode("utf-8")
+    need(data, off, sid_len, "source id")
+    source_id = decode_utf8(data[off:off + sid_len], "source id")
     off += sid_len
     block = t * j * 3 * 8
     if len(data) != off + 2 * block:

@@ -346,19 +346,21 @@ class EvalReport:
 
 
 def evaluate(model, dataset, noise_sigma_m=0.0, noise_seed=0):
-    """Argmax-logit classification metrics over a prepared dataset."""
+    """Argmax-logit classification metrics over a prepared dataset, from
+    forwards that record no autodiff tape."""
     if not dataset:
         raise ConfigError("evaluation set is empty")
     c = model.cfg.num_classes
     confusion = np.zeros((c, c))
-    for idx, prepared in enumerate(dataset):
-        if not 0 <= prepared.label < c:
-            raise ConfigError(f"label {prepared.label} outside checkpoint's {c} classes")
-        if noise_sigma_m > 0:
-            prepared = corrupt(prepared, noise_sigma_m, (noise_seed, 0xC, idx),
-                               model.part_map, model.cfg.spm, model.cfg.dsig.k)
-        logits = model.forward(prepared.sample, prepared.graphs)
-        confusion[prepared.label, int(logits.data.argmax())] += 1
+    with model.inference():
+        for idx, prepared in enumerate(dataset):
+            if not 0 <= prepared.label < c:
+                raise ConfigError(f"label {prepared.label} outside checkpoint's {c} classes")
+            if noise_sigma_m > 0:
+                prepared = corrupt(prepared, noise_sigma_m, (noise_seed, 0xC, idx),
+                                   model.part_map, model.cfg.spm, model.cfg.dsig.k)
+            logits = model.forward(prepared.sample, prepared.graphs)
+            confusion[prepared.label, int(logits.data.argmax())] += 1
     totals = confusion.sum(axis=1)
     per_class = np.divide(np.diag(confusion), totals, out=np.zeros(c), where=totals > 0)
     return EvalReport(accuracy=float(np.trace(confusion) / confusion.sum()),

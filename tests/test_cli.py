@@ -259,3 +259,56 @@ class TestVerifyCommand:
         assert "[FAIL] tensor.gradcheck.gelu" in text
         report = (out / "report.txt").read_text()
         assert "[FAIL] tensor.gradcheck.gelu" in report
+
+
+class TestSidecarReuse:
+    GEOMETRY = "[spm]\nP = {P}\nstride = {P}\npadding = 0\nT = {T}\n[model]\nD = 8\nh = 2\nN = 1\n"
+
+    def prepare(self, tmp_path, P, T):
+        path = tmp_path / f"p{P}.ini"
+        path.write_text(self.GEOMETRY.format(P=P, T=T))
+        out = tmp_path / "data"
+        assert run("prepare", "--format", "synth", "--count", "4", "--frames", "64",
+                   "--config", str(path), "--out", str(out), "--seed", "2") == 0
+        return out
+
+    def test_other_window_geometry_rebuilds_graphs(self, tmp_path):
+        from igformer import cli, config as cfgmod
+        from igformer.graphs import build_interaction_graphs
+        data = self.prepare(tmp_path, P=8, T=64)
+        cfg = cfgmod.parse_config(self.GEOMETRY.format(P=16, T=128))
+        prepared, part_map = cli._load_prepared(data, cfg)
+        assert cfg.spm.M(part_map.B) == 40  # the sidecars' M too
+        for p in prepared:
+            fresh = build_interaction_graphs(p.sample, part_map, cfg.spm, cfg.dsig.k)
+            assert np.array_equal(p.graphs.dsig_ab, fresh.dsig_ab)
+            assert np.array_equal(p.graphs.dsig_ba, fresh.dsig_ba)
+
+    def test_matching_config_reads_sidecars(self, tmp_path, monkeypatch):
+        from igformer import cli, config as cfgmod, graphs as gmod
+        data = self.prepare(tmp_path, P=8, T=64)
+        cfg = cfgmod.parse_config(self.GEOMETRY.format(P=8, T=64))
+        builds = []
+        monkeypatch.setattr(gmod, "build_interaction_graphs",
+                            lambda *args: builds.append(args))
+        prepared, _ = cli._load_prepared(data, cfg)
+        assert builds == []
+        for p, sidecar in zip(prepared, sorted(data.glob("*.igfd"))):
+            _, _, ab, ba = gmod.read_sidecar(sidecar.read_bytes())
+            assert np.array_equal(p.graphs.dsig_ab, ab) and np.array_equal(p.graphs.dsig_ba, ba)
+
+    def test_missing_manifest_rebuilds_graphs(self, tmp_path, monkeypatch):
+        from igformer import cli, config as cfgmod, graphs as gmod
+        data = self.prepare(tmp_path, P=8, T=64)
+        (data / "manifest.json").unlink()
+        cfg = cfgmod.parse_config(self.GEOMETRY.format(P=8, T=64))
+        real = gmod.build_interaction_graphs
+        builds = []
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gmod, "build_interaction_graphs", counting)
+        prepared, _ = cli._load_prepared(data, cfg)
+        assert len(builds) == len(prepared) == 4

@@ -261,17 +261,15 @@ class TestCheckpoint:
         blob = M.save_checkpoint(model, digest="abc123")
         digest, params = M.load_checkpoint(blob)
         assert digest == "abc123"
-        fresh = M.init_params(cfg, seed=99)
-        M.apply_checkpoint(fresh, params)
+        restored = M.restore_params(cfg, params)
         for name, t in model.named_parameters().items():
-            assert np.array_equal(t.data, fresh.named_parameters()[name].data)
+            assert np.array_equal(t.data, restored.named_parameters()[name].data)
 
     def test_mismatched_structure_rejected(self):
         model = M.init_params(tiny_cfg(), seed=0)
         _, params = M.load_checkpoint(M.save_checkpoint(model, "x"))
-        other = M.init_params(tiny_cfg(N=3), seed=0)
         with pytest.raises(ConfigError):
-            M.apply_checkpoint(other, params)
+            M.restore_params(tiny_cfg(N=3), params)
 
     def test_byte_determinism(self):
         cfg = tiny_cfg()
