@@ -52,12 +52,12 @@ def build_parser():
     common(p)
     p.add_argument("--format", required=True, choices=FORMATS)
     p.add_argument("--input", help="input directory (ntu/sbu)")
-    p.add_argument("--count", type=int, default=40, help="synthetic sample count")
-    p.add_argument("--classes", type=int, default=4, help="synthetic class count (1..4)")
-    p.add_argument("--frames", type=int, default=64, help="synthetic clip length")
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--gen-noise", type=float, default=0.01,
-                   help="generator jitter std in meters")
+    p.add_argument("--count", type=int, help="synthetic sample count (default 40)")
+    p.add_argument("--classes", type=int, help="synthetic class count, 1..4 (default 4)")
+    p.add_argument("--frames", type=int, help="synthetic clip length (default 64)")
+    p.add_argument("--amplitude", type=float, help="synthetic motion scale (default 1)")
+    p.add_argument("--gen-noise", type=float,
+                   help="generator jitter std in meters (default 0.01)")
     p.add_argument("--k", type=int, help="override neighbor count for sidecars")
 
     p = sub.add_parser("train", help="train a model on prepared data")
@@ -75,14 +75,14 @@ def build_parser():
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0,
-                   help="eval-time joint noise std in meters")
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
+                   help="eval-time joint noise std in meters (default 0)")
 
     p = sub.add_parser("inspect-graph", help="dump A, DSIG, per-head SDIG and fused R as text")
     common(p)
     p.add_argument("--sample", required=True, help="canonical sample file")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--itb", type=int, default=0, help="interaction block to inspect")
+    p.add_argument("--itb", type=int, help="interaction block to inspect (default 0)")
     p.add_argument("--k", type=int, help="override neighbor count")
 
     p = sub.add_parser("verify", help="run the gradient/oracle/invariant battery")
@@ -92,18 +92,32 @@ def build_parser():
     return parser
 
 
+# defaults of the flags whose argparse default is None, so that a replay can
+# tell a flag the command line left out from one it set to the default value
+_DEFAULTS = {
+    "prepare": {"count": 40, "classes": 4, "frames": 64, "amplitude": 1.0, "gen_noise": 0.01},
+    "eval": {"noise_sigma": 0.0},
+    "inspect-graph": {"itb": 0},
+}
+
+
 def _load_manifest_overrides(args):
-    if not args.from_manifest:
-        return args
-    with open(args.from_manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    text = "\n".join(f"[{section}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items())
-                     for section, kv in manifest["config"].items())
-    args._manifest_config = cfgmod.parse_config(text, path=args.from_manifest)
-    if args.seed is None:
-        args.seed = manifest.get("seed")
-    for key, value in manifest.get("args", {}).items():
-        if getattr(args, key, None) in (None, False):
+    """Fill the flags the command line left out: from the manifest named by
+    --from-manifest first, then from `_DEFAULTS`. Explicit flags beat recorded
+    values, and recorded values beat defaults."""
+    if args.from_manifest:
+        with open(args.from_manifest, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        text = "\n".join(f"[{section}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items())
+                         for section, kv in manifest["config"].items())
+        args._manifest_config = cfgmod.parse_config(text, path=args.from_manifest)
+        if args.seed is None:
+            args.seed = manifest.get("seed")
+        for key, value in manifest.get("args", {}).items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
+    for key, value in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, key) is None:
             setattr(args, key, value)
     return args
 
@@ -156,27 +170,24 @@ def _write_manifest(args, cfg, inputs):
     return out
 
 
-def _infer_label(path, fmt):
+def _infer_label(path, fmt, root):
     """Class index from the file's location: the NTU `A###` action field of
-    the name, or the SBU `01`..`08` class directory. ParseError otherwise."""
+    the name, or the SBU `01`..`08` class directory between `root` (the
+    --input directory) and the file. ParseError otherwise."""
     if fmt == "ntu":
         m = re.search(r"A(\d{3})", path.stem)
         if m and int(m.group(1)) >= 1:
             return int(m.group(1)) - 1
         raise ParseError(f"no action field A001..A999 in file name {path.name!r}")
-    for part in reversed(path.parent.parts):
+    for part in reversed(path.relative_to(root).parent.parts):
         if re.fullmatch(r"0[1-8]", part):
             return int(part) - 1
-    raise ParseError(f"{path} lies in no class directory 01..08")
-
-
-def _part_map_for(j):
-    return skel.builtin_part_map(j)
+    raise ParseError(f"{path} lies in no class directory 01..08 below {root}")
 
 
 def _write_sample(out, stem, sample, cfg):
     padded = skel.pad_sample(sample, cfg.spm.T)
-    part_map = _part_map_for(padded.person_a.J)
+    part_map = skel.builtin_part_map(padded.person_a.J)
     graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
     (out / f"{stem}.igf").write_bytes(skel.write_canonical(sample))
     (out / f"{stem}.igfd").write_bytes(gmod.write_sidecar(graphs))
@@ -206,13 +217,12 @@ def cmd_prepare(args):
             raise ConfigError(f"no {pattern} files under {args.input}")
         for path in files:
             try:
+                label = _infer_label(path, args.format, args.input)
                 if args.format == "ntu":
                     bodies, _ = skel.parse_ntu(path.read_bytes())
-                    sample = skel.ntu_to_sample(bodies, label=_infer_label(path, "ntu"),
-                                                source_id=path.stem)
+                    sample = skel.ntu_to_sample(bodies, label=label, source_id=path.stem)
                 else:
-                    sample = skel.parse_sbu(path.read_bytes(),
-                                            label=_infer_label(path, "sbu"),
+                    sample = skel.parse_sbu(path.read_bytes(), label=label,
                                             source_id=path.stem)
                 _write_sample(out, path.stem, sample, cfg)
                 written += 1
@@ -257,7 +267,7 @@ def _load_prepared(data_dir, cfg):
         sample = skel.read_canonical(path.read_bytes())
         padded = skel.pad_sample(sample, cfg.spm.T)
         if part_map is None:
-            part_map = _part_map_for(padded.person_a.J)
+            part_map = skel.builtin_part_map(padded.person_a.J)
         graphs = None
         sidecar = path.with_suffix(".igfd")
         if trust_sidecars and sidecar.exists():
@@ -312,7 +322,7 @@ def cmd_eval(args):
     prepared, part_map = _load_prepared(args.data, cfg)
     out = _write_manifest(args, cfg, [args.data, args.checkpoint])
     model = _load_model(args.checkpoint, cfg, part_map)
-    report = tr.evaluate(model, prepared, noise_sigma_m=args.noise_sigma or 0.0,
+    report = tr.evaluate(model, prepared, noise_sigma_m=args.noise_sigma,
                          noise_seed=cfg.train.seed)
     class_names = tr.SYNTH_CLASSES if cfg.model.num_classes <= len(tr.SYNTH_CLASSES) else None
     text = report.text(class_names=class_names)
@@ -325,7 +335,7 @@ def cmd_inspect_graph(args):
     cfg = _resolve_config(args)
     sample = skel.read_canonical(Path(args.sample).read_bytes())
     padded = skel.pad_sample(sample, cfg.spm.T)
-    part_map = _part_map_for(padded.person_a.J)
+    part_map = skel.builtin_part_map(padded.person_a.J)
     out = _write_manifest(args, cfg, [args.sample, args.checkpoint])
     model = _load_model(args.checkpoint, cfg, part_map)
     graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)

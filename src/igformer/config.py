@@ -38,11 +38,11 @@ _SCHEMA = {
             "per_part_conv": bool},
     "dsig": {"k": int},
     "model": {"num_classes": int, "D": int, "h": int, "N": int, "ffn_mult": int,
-              "mode": str, "scale_mode": str, "pool": str, "dropout": float,
+              "mode": str, "scale_mode": str, "dropout": float,
               "tie_person_branches": bool},
     "train": {"lr": float, "momentum": float, "milestones": "int_list",
               "lr_decay": float, "epochs": int, "batch_size": int, "seed": int,
-              "noise_sigma_m": float, "weight_decay": float},
+              "noise_sigma_m": float},
 }
 
 
@@ -105,14 +105,13 @@ def to_sections(cfg):
         "model": {"num_classes": cfg.model.num_classes, "D": cfg.model.D,
                   "h": cfg.model.h, "N": cfg.model.N, "ffn_mult": cfg.model.ffn_mult,
                   "mode": cfg.model.mode, "scale_mode": cfg.model.scale_mode,
-                  "pool": cfg.model.pool, "dropout": cfg.model.dropout,
+                  "dropout": cfg.model.dropout,
                   "tie_person_branches": cfg.model.tie_person_branches},
         "train": {"lr": cfg.train.lr, "momentum": cfg.train.momentum,
                   "milestones": " ".join(str(m) for m in cfg.train.milestones),
                   "lr_decay": cfg.train.lr_decay, "epochs": cfg.train.epochs,
                   "batch_size": cfg.train.batch_size, "seed": cfg.train.seed,
-                  "noise_sigma_m": cfg.train.noise_sigma_m,
-                  "weight_decay": cfg.train.weight_decay},
+                  "noise_sigma_m": cfg.train.noise_sigma_m},
     }
 
 

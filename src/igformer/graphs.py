@@ -32,10 +32,6 @@ class DistanceGraphConfig:
 
     k: int = 15
 
-    def validate(self, M):
-        if not 1 <= self.k <= M:
-            raise ConfigError(f"k={self.k} outside 1..{M}")
-
 
 @dataclass
 class InteractionGraphs:
@@ -113,8 +109,6 @@ def build_interaction_graphs(sample, part_map, spm_cfg, k):
     tb = token_trajectory(sample.person_b, part_map, spm_cfg)
     a_ab = pairwise_distance(ta, tb)
     a_ba = a_ab.T.copy()
-    cfg = DistanceGraphConfig(k=k)
-    cfg.validate(a_ab.shape[0])
     return InteractionGraphs(a_ab, a_ba, knn_threshold(a_ab, k), knn_threshold(a_ba, k), k)
 
 
@@ -145,9 +139,3 @@ def read_sidecar(data):
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))
         return bits[:m * m].reshape(m, m).astype(np.float64)
     return m, k, graph_at(12), graph_at(12 + nbytes)
-
-
-def graphs_from_sidecar(data):
-    """Graphs restored from a sidecar; distance matrices are None (not stored)."""
-    m, k, ab, ba = read_sidecar(data)
-    return InteractionGraphs(None, None, ab, ba, k)

@@ -42,7 +42,6 @@ class ModelConfig:
     ffn_mult: int = 4
     mode: str = "full"
     scale_mode: str = "per_head"   # or "full_dim"
-    pool: str = "joint"            # "separate" coincides when both persons share M
     dropout: float = 0.0
     tie_person_branches: bool = False
     spm: SpmConfig = None
@@ -61,8 +60,6 @@ class ModelConfig:
             raise ConfigError(f"tokenizer width {self.spm.D} != hidden size {self.D}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.pool not in ("joint", "separate"):
-            raise ConfigError(f"unknown pooling {self.pool!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
 
@@ -179,10 +176,6 @@ class IGFormer:
         self.head_w = head_w
         self.head_b = head_b
 
-    @classmethod
-    def init(cls, cfg, seed=0, part_map=None):
-        return init_params(cfg, seed, part_map=part_map)
-
     def named_parameters(self):
         return self.registry
 
@@ -230,7 +223,7 @@ class IGFormer:
                                    collect=block_collect, drop=drop)
         # Union mean over both persons' tokens; written as the average of the
         # two per-person means (identical for equal M, and exactly symmetric
-        # under a person swap). "separate" pooling coincides by construction.
+        # under a person swap).
         pooled = (T.mean_axis(h_m, 0, keepdims=True)
                   + T.mean_axis(h_n, 0, keepdims=True)) * 0.5
         return T.linear(pooled, self.head_w, self.head_b)

@@ -124,30 +124,8 @@ def builtin_part_map(J):
     """The five-part body map (left arm, right arm, left leg, right leg, torso)."""
     table = {25: _PARTS_25, 15: _PARTS_15}.get(J)
     if table is None:
-        raise ConfigError(f"no built-in part map for J={J}; supply a partition config file")
+        raise ConfigError(f"no built-in part map for J={J}; only J=15 and J=25 are supported")
     return BodyPartMap(tuple((name, table[name]) for name in PART_ORDER), joint_count=J)
-
-
-def load_part_map(text, J=0):
-    """Parse a partition config: one `name: i, j, k` line per part, fixed part order."""
-    parts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError("expected '<part-name>: i, j, ...'", line=lineno)
-        name, _, rest = line.partition(":")
-        name = name.strip()
-        try:
-            idx = tuple(int(tok) for tok in rest.replace(",", " ").split())
-        except ValueError as exc:
-            raise ParseError(f"bad joint index: {exc}", line=lineno) from None
-        parts.append((name, idx))
-    names = tuple(name for name, _ in parts)
-    if names != PART_ORDER:
-        raise ConfigError(f"parts must appear in order {PART_ORDER}, got {names}")
-    return BodyPartMap(tuple(parts), joint_count=J)
 
 
 def pad_repeat(seq, target_T=256):

@@ -66,10 +66,6 @@ class BptSequence:
         return self.tokens.shape[1]
 
 
-def token_index(t, p, B):
-    return t * B + p
-
-
 def time_major_permutation(B, L):
     """Row order mapping part-major stacking (p*L + t) to time-major tokens."""
     return np.array([p * L + t for t in range(L) for p in range(B)], dtype=np.intp)

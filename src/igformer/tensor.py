@@ -9,8 +9,12 @@ execution order (creation stamps are monotonically increasing, so sorting
 the reachable subgraph by stamp descending is the reverse of the order in
 which the ops ran).
 
-Default precision is float64 so finite-difference checks are meaningful;
-``set_default_dtype(np.float32)`` trades that for speed.
+Default precision is float64 so finite-difference checks are meaningful.
+``set_default_dtype(np.float32)`` only changes the dtype of tensors built
+from new data: model parameters (and hence their gradients) become float32,
+but the skeleton coordinates and the tokenizer's resize weights are float64,
+so the tokens, the rest of the forward pass, the logits and the loss still
+compute in float64.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def set_default_dtype(dtype):
-    """Set the float width used for new tensors (float64 or float32)."""
+    """Set the float width of tensors built from new data (float64 or float32).
+
+    Results of ops follow numpy's type promotion, so any float64 operand
+    (such as the resize weights of `linear_interp_resize`) makes them float64.
+    """
     global _dtype
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float64), np.dtype(np.float32)):
@@ -67,16 +75,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        """A view of the same data that no gradient flows through."""
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Accumulate gradients of this scalar into every reachable parameter."""

@@ -174,7 +174,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     noise_sigma_m: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         self.milestones = tuple(self.milestones)
@@ -306,12 +305,7 @@ def train(model, train_set, cfg, val_set=None, stop_at_train_acc=None,
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, step {steps}\n" + _grad_report(model))
             batch_loss.backward()
-            grads = []
-            for p in params:
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
-                if cfg.weight_decay:
-                    g = g + cfg.weight_decay * p.data
-                grads.append(g)
+            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
             T.sgd_nesterov_step(params, grads, velocities, lr=lr, momentum=cfg.momentum)
             steps += 1
         train_loss = epoch_loss / len(train_set)

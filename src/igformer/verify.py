@@ -1,7 +1,9 @@
 """Self-check battery behind the `verify` command: finite-difference gradient
 checks for every differentiable op and the end-to-end model, the brute-force
 distance-graph oracle, and the library's structural invariants. Each check
-carries a stable identifier so failures name what broke.
+carries a stable identifier so failures name what broke. This module is the
+one implementation of each oracle and invariant; the test suite runs every
+check as its own test, and the acceptance criteria call the same checks.
 
 `corrupt_op` deliberately mis-scales one op's backward pass; the battery must
 then fail on that op's gradient check (negative control for the harness).
@@ -17,18 +19,13 @@ import numpy as np
 from . import tensor as T
 from .attention import GiMsaParams, fuse_graphs, gi_msa, sdig
 from .gradcheck import check_gradients
-from .graphs import (InteractionGraphs, build_interaction_graphs, knn_threshold,
-                     pairwise_distance, read_sidecar, write_sidecar)
-from .model import ModelConfig, expected_param_count, init_params
-from .graphs import DistanceGraphConfig
+from .graphs import (DistanceGraphConfig, InteractionGraphs, build_interaction_graphs,
+                     knn_threshold, pairwise_distance, read_sidecar, write_sidecar)
+from .model import ModelConfig, expected_param_count, init_params, itb_forward
 from .skeleton import (InteractionSample, SkeletonSequence, builtin_part_map,
                        read_canonical, write_canonical)
-from .spm import SpmConfig, spm_forward
+from .spm import SpmConfig, partition, spm_forward
 from .training import TrainConfig, lr_at, make_synth_dataset
-
-
-class CheckFailure(AssertionError):
-    pass
 
 
 def _rand(rng, *shape):
@@ -94,20 +91,39 @@ def _gradcheck_cases():
     return cases
 
 
-def _tiny_model(seed=0, **kw):
+def _tiny_cfg(**kw):
     defaults = dict(num_classes=3, D=8, h=2, N=1,
                     spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=8),
                     dsig=DistanceGraphConfig(k=3))
     defaults.update(kw)
-    return init_params(ModelConfig(**defaults), seed=seed)
+    return ModelConfig(**defaults)
+
+
+def _random_sample(rng, t, label=0):
+    return InteractionSample(SkeletonSequence(rng.normal(size=(t, 15, 3))),
+                             SkeletonSequence(rng.normal(size=(t, 15, 3))), label=label)
 
 
 def _tiny_sample(rng, cfg, label=0):
-    part_map = builtin_part_map(15)
-    sample = InteractionSample(SkeletonSequence(rng.normal(size=(cfg.spm.T, 15, 3))),
-                               SkeletonSequence(rng.normal(size=(cfg.spm.T, 15, 3))),
-                               label=label)
-    return sample, build_interaction_graphs(sample, part_map, cfg.spm, cfg.dsig.k)
+    sample = _random_sample(rng, cfg.spm.T, label)
+    return sample, build_interaction_graphs(sample, builtin_part_map(15), cfg.spm, cfg.dsig.k)
+
+
+def end_to_end_gradcheck(cfg, model_seed, sample_seed, tol=1e-4):
+    """Finite-difference check of the loss gradient of every parameter of a
+    freshly initialized model on one random 15-joint sample with label 1.
+    Returns (worst relative error, number of parameter tensors); raises
+    AssertionError above `tol`."""
+    model = init_params(cfg, seed=model_seed)
+    sample, graphs = _tiny_sample(np.random.default_rng(sample_seed), cfg, label=1)
+
+    def build():
+        model.zero_grads()
+        loss, _ = model.loss(sample, graphs)
+        return loss
+
+    params = [model.named_parameters()[n] for n in sorted(model.named_parameters())]
+    return check_gradients(build, params, tol=tol), len(params)
 
 
 def _brute_force_dsig(coords_a, coords_b, part_map, cfg, k):
@@ -155,24 +171,46 @@ def _brute_force_dsig(coords_a, coords_b, part_map, cfg, k):
     return dist, dsig
 
 
-def _check_op_gradients():
-    results = []
+def _gimsa_params(rng, h, d, tied=False, requires_grad=False):
+    def mat(*shape):
+        return T.Tensor(rng.normal(scale=0.3, size=shape), requires_grad=requires_grad)
+    wm = mat(h * d, h * d)
+    return GiMsaParams(wq=[mat(d, d) for _ in range(h)], wk=[mat(d, d) for _ in range(h)],
+                       wv=[mat(d, d) for _ in range(h)],
+                       alpha=[T.Tensor(1.0, requires_grad=requires_grad) for _ in range(h)],
+                       wm=wm, wn=wm if tied else mat(h * d, h * d))
+
+
+def _random_graphs(rng, m, k):
+    dist = pairwise_distance(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
+    return InteractionGraphs(dist, dist.T.copy(), knn_threshold(dist, k),
+                             knn_threshold(dist.T.copy(), k), k)
+
+
+# window geometry of the graph checks (T=40 -> L=10, M=50) and of the
+# D=8 models of the symmetry and determinism checks (T=16 -> M=20)
+_GRAPH_SPM = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
+_SWAP_SPM = SpmConfig(P=4, stride=4, padding=0, D=8, T=16)
+
+
+def _gradchecks():
+    entries = []
     for name, case in _gradcheck_cases().items():
         def run(case=case, seed=zlib.crc32(name.encode())):
             rng = np.random.default_rng(seed)
             for _ in range(20):
                 build, params = case(rng)
                 check_gradients(build, params, tol=1e-4)
-        results.append((f"tensor.gradcheck.{name}", run))
-    return results
+        entries.append((f"tensor.gradcheck.{name}", run))
+    return entries
 
 
 def _structural_checks():
-    checks = []
+    entries = []
 
     def check(name):
         def deco(fn):
-            checks.append((name, fn))
+            entries.append((name, fn))
             return fn
         return deco
 
@@ -190,6 +228,7 @@ def _structural_checks():
         x = rng.uniform(-1e4, 1e4, size=(30, 9))
         y = T.softmax_rows(T.Tensor(x)).data
         assert np.abs(y.sum(axis=1) - 1.0).max() < 1e-6
+        assert (y >= 0).all()
 
     @check("tensor.resize.identity-when-sizes-match")
     def _():
@@ -199,23 +238,31 @@ def _structural_checks():
 
     @check("spm.step-count-formula")
     def _():
+        # conv_steps, the conv's output length, SpmConfig.L and a direct count of
+        # the windows on the zero-padded sequence agree over a random sweep
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            t = int(rng.integers(6, 48))
-            p = int(rng.integers(2, 8))
-            stride = int(rng.integers(1, 6))
-            padding = int(rng.integers(0, p))
+        for _ in range(40):
+            t = int(rng.integers(4, 64))
+            p = int(rng.integers(1, min(t, 9) + 1))
+            stride = int(rng.integers(1, 7))
+            padding = int(rng.integers(0, 4))
             want = T.conv_steps(t, p, stride, padding)
             if want < 1:
                 continue
-            out = T.conv2d(T.Tensor(rng.normal(size=(t, p))),
-                           T.Tensor(rng.normal(size=(1, p, p))),
+            out = T.conv2d(T.Tensor(rng.normal(size=(t, p, 3))),
+                           T.Tensor(rng.normal(size=(2, p, p, 3))),
                            stride=stride, padding=padding)
-            assert out.shape[0] == want
-        assert T.conv_steps(256, 16, 10, 2) == 25
+            padded = t + 2 * padding
+            count = sum(1 for j in range(0, padded, stride) if j + p <= padded)
+            assert out.shape[0] == want == count
+            assert SpmConfig(P=p, stride=stride, padding=padding, D=2, T=t).L == want
+        out = T.conv2d(T.Tensor(np.zeros((256, 16, 3))), T.Tensor(np.zeros((4, 16, 16, 3))),
+                       stride=10, padding=2)
+        assert out.shape == (25, 4) and SpmConfig().L == 25
 
     @check("spm.layout.time-major-roundtrip")
     def _():
+        # tokens t*B..t*B+B-1 are the B per-part embeddings of step t
         rng = np.random.default_rng(4)
         cfg = SpmConfig(P=4, stride=2, padding=0, D=3, T=12)
         part_map = builtin_part_map(15)
@@ -223,70 +270,65 @@ def _structural_checks():
         bias = T.Tensor(np.zeros(3))
         seq = SkeletonSequence(rng.normal(size=(12, 15, 3)))
         bpt = spm_forward(seq, part_map, cfg, kernel, bias)
-        from .spm import partition
         for p, block in enumerate(partition(seq, part_map)):
             resized = T.linear_interp_resize(T.Tensor(block), cfg.P)
             y = T.conv2d(resized, kernel, bias, stride=cfg.stride, padding=cfg.padding)
             for step in range(cfg.L):
-                assert np.array_equal(bpt.tokens.data[step * 5 + p], y.data[step])
+                assert np.array_equal(bpt.tokens.data[step * part_map.B + p], y.data[step])
 
     @check("spm.shared-projection.parameter-count")
     def _():
-        model = _tiny_model()
+        model = init_params(_tiny_cfg())
         total = sum(p.data.size for p in model.named_parameters().values())
         assert total == expected_param_count(model.cfg)
 
     @check("dsig.brute-force-oracle")
     def _():
+        # 100 random samples, both directions, bit-identical to the loop oracle
         rng = np.random.default_rng(5)
         part_map = builtin_part_map(15)
-        cfg = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-        for _ in range(20):
-            sample = InteractionSample(
-                SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                SkeletonSequence(rng.normal(size=(40, 15, 3))), label=0)
-            g = build_interaction_graphs(sample, part_map, cfg, k=6)
-            dist, dsig = _brute_force_dsig(sample.person_a.coords,
-                                           sample.person_b.coords, part_map, cfg, 6)
-            assert np.array_equal(g.A_ab, dist)
-            assert np.array_equal(g.dsig_ab, dsig)
+        for _ in range(100):
+            sample = _random_sample(rng, _GRAPH_SPM.T)
+            a, b = sample.person_a.coords, sample.person_b.coords
+            g = build_interaction_graphs(sample, part_map, _GRAPH_SPM, k=6)
+            dist_ab, dsig_ab = _brute_force_dsig(a, b, part_map, _GRAPH_SPM, 6)
+            dist_ba, dsig_ba = _brute_force_dsig(b, a, part_map, _GRAPH_SPM, 6)
+            assert np.array_equal(g.A_ab, dist_ab) and np.array_equal(g.A_ba, dist_ba)
+            assert np.array_equal(g.dsig_ab, dsig_ab) and np.array_equal(g.dsig_ba, dsig_ba)
 
     @check("dsig.translation-invariance")
     def _():
         rng = np.random.default_rng(6)
         part_map = builtin_part_map(15)
-        cfg = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-        sample = InteractionSample(SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   label=0)
-        v = np.array([2.0, -1.0, 0.5])
+        sample = _random_sample(rng, _GRAPH_SPM.T)
+        v = np.array([3.0, -1.5, 0.25])
         moved = InteractionSample(SkeletonSequence(sample.person_a.coords + v),
-                                  SkeletonSequence(sample.person_b.coords + v),
-                                  label=0)
-        g0 = build_interaction_graphs(sample, part_map, cfg, k=5)
-        g1 = build_interaction_graphs(moved, part_map, cfg, k=5)
+                                  SkeletonSequence(sample.person_b.coords + v), label=0)
+        g0 = build_interaction_graphs(sample, part_map, _GRAPH_SPM, k=6)
+        g1 = build_interaction_graphs(moved, part_map, _GRAPH_SPM, k=6)
         assert np.array_equal(g0.dsig_ab, g1.dsig_ab)
         assert np.array_equal(g0.dsig_ba, g1.dsig_ba)
 
     @check("dsig.row-sums-and-tie-inclusion")
     def _():
+        # exactly k per row under distinct distances; every tie at the k-th kept
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            A = rng.uniform(size=(12, 12))
-            dsig = knn_threshold(A, 4)
+        for _ in range(20):
+            dsig = knn_threshold(rng.uniform(size=(12, 12)), 4)
             assert (dsig.sum(axis=1) == 4).all()
         tied = np.array([[0.1, 0.3, 0.3, 0.9]])
-        assert knn_threshold(tied, 2).sum() == 3
+        assert np.array_equal(knn_threshold(tied, 2), [[1.0, 1.0, 1.0, 0.0]])
 
     @check("dsig.direction-asymmetry")
     def _():
+        # crafted so row-wise and column-wise nearest neighbors differ
         A = np.array([[0.1, 0.2, 5.0], [4.0, 0.3, 0.4], [0.15, 6.0, 0.5]])
         assert not np.array_equal(knn_threshold(A, 1), knn_threshold(A.T, 1).T)
 
     @check("gimsa.sdig.elementwise-oracle")
     def _():
         rng = np.random.default_rng(8)
-        B, L, d = 2, 3, 2
+        B, L, d = 2, 4, 3
         m = B * L
         h_me, h_ne = rng.normal(size=(m, d)), rng.normal(size=(m, d))
         wq, wk = rng.normal(size=(d, d)), rng.normal(size=(d, d))
@@ -303,14 +345,14 @@ def _structural_checks():
     @check("gimsa.fused-rows-stochastic")
     def _():
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            dsig = (rng.uniform(size=(6, 6)) > 0.5).astype(float)
-            r = fuse_graphs(dsig, T.Tensor(rng.normal(size=(6, 6))),
-                            T.Tensor(rng.normal()))
+        for _ in range(20):
+            dsig = (rng.uniform(size=(10, 10)) > 0.5).astype(float)
+            r = fuse_graphs(dsig, T.Tensor(rng.normal(size=(10, 10))), T.Tensor(rng.normal()))
             assert np.abs(r.data.sum(axis=1) - 1.0).max() < 1e-6
 
     @check("gimsa.sdig.row-shift-invariance")
     def _():
+        # a constant added to one row of the semantic logits leaves R unchanged
         rng = np.random.default_rng(10)
         s = rng.normal(size=(4, 4))
         shifted = s.copy()
@@ -323,16 +365,9 @@ def _structural_checks():
     def _():
         rng = np.random.default_rng(11)
         m, d = 4, 2
-        dist = pairwise_distance(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
-        g = InteractionGraphs(dist, dist.T.copy(), knn_threshold(dist, 2),
-                              knn_threshold(dist.T.copy(), 2), 2)
-        wm = T.Tensor(rng.normal(size=(d, d)), requires_grad=True)
-        params = GiMsaParams(wq=[_rand(rng, d, d)], wk=[_rand(rng, d, d)],
-                             wv=[_rand(rng, d, d)],
-                             alpha=[T.Tensor(1.0, requires_grad=True)],
-                             wm=wm, wn=wm)
+        params = _gimsa_params(rng, h=1, d=d, tied=True, requires_grad=True)
         h_me, h_ne = _rand(rng, m, d), _rand(rng, m, d)
-        out_m, out_n = gi_msa(h_me, h_ne, g, params, B=2, L=2)
+        out_m, out_n = gi_msa(h_me, h_ne, _random_graphs(rng, m, 2), params, B=2, L=2)
         (out_m.sum() + out_n.sum()).backward()
         assert params.wq[0].grad is not None and np.abs(params.wq[0].grad).max() > 0
         assert abs(float(params.alpha[0].grad)) > 0
@@ -340,39 +375,27 @@ def _structural_checks():
     @check("gimsa.person-swap-equivariance")
     def _():
         rng = np.random.default_rng(12)
-        m, d = 4, 2
-        dist = pairwise_distance(rng.normal(size=(m, 3)), rng.normal(size=(m, 3)))
-        g = InteractionGraphs(dist, dist.T.copy(), knn_threshold(dist, 2),
-                              knn_threshold(dist.T.copy(), 2), 2)
-        wm = T.Tensor(rng.normal(size=(d, d)))
-        params = GiMsaParams(wq=[T.Tensor(rng.normal(size=(d, d)))],
-                             wk=[T.Tensor(rng.normal(size=(d, d)))],
-                             wv=[T.Tensor(rng.normal(size=(d, d)))],
-                             alpha=[T.Tensor(1.0)], wm=wm, wn=wm)
-        x_a, x_b = T.Tensor(rng.normal(size=(m, d))), T.Tensor(rng.normal(size=(m, d)))
-        out_a, out_b = gi_msa(x_a, x_b, g, params, B=2, L=2)
-        sw_b, sw_a = gi_msa(x_b, x_a, g.swapped(), params, B=2, L=2)
+        m, h, d = 6, 2, 4
+        g = _random_graphs(rng, m, 2)
+        params = _gimsa_params(rng, h=h, d=d, tied=True)
+        x_a = T.Tensor(rng.normal(size=(m, h * d)))
+        x_b = T.Tensor(rng.normal(size=(m, h * d)))
+        out_a, out_b = gi_msa(x_a, x_b, g, params, B=2, L=3)
+        sw_b, sw_a = gi_msa(x_b, x_a, g.swapped(), params, B=2, L=3)
         assert np.array_equal(out_a.data, sw_a.data)
         assert np.array_equal(out_b.data, sw_b.data)
 
     @check("model.end-to-end-gradcheck")
     def _():
-        rng = np.random.default_rng(13)
-        model = _tiny_model(seed=1)
-        sample, graphs = _tiny_sample(rng, model.cfg, label=1)
-
-        def build():
-            model.zero_grads()
-            loss, _ = model.loss(sample, graphs)
-            return loss
-
-        params = [model.named_parameters()[n] for n in sorted(model.named_parameters())]
-        check_gradients(build, params, tol=1e-4)
+        end_to_end_gradcheck(_tiny_cfg(), model_seed=1, sample_seed=13)
 
     @check("model.person-swap-logits")
     def _():
-        rng = np.random.default_rng(14)
-        model = _tiny_model(seed=2, tie_person_branches=True)
+        # tied person branches: swapping the persons (and the graphs' directions)
+        # leaves the logits bit-identical
+        rng = np.random.default_rng(10)
+        model = init_params(_tiny_cfg(N=2, tie_person_branches=True, spm=_SWAP_SPM,
+                                      dsig=DistanceGraphConfig(k=5)), seed=5)
         sample, graphs = _tiny_sample(rng, model.cfg)
         swapped = InteractionSample(sample.person_b, sample.person_a, label=0)
         assert np.array_equal(model.forward(sample, graphs).data,
@@ -380,14 +403,14 @@ def _structural_checks():
 
     @check("model.cross-person-gradient")
     def _():
-        from .model import itb_forward
+        # exactly zero without the interaction module, nonzero with it
         rng = np.random.default_rng(15)
         for mode, expect in (("no_gimsa", False), ("full", True)):
-            model = _tiny_model(seed=3, mode=mode)
+            model = init_params(_tiny_cfg(mode=mode, spm=_SWAP_SPM,
+                                          dsig=DistanceGraphConfig(k=5)), seed=6)
             sample, graphs = _tiny_sample(rng, model.cfg)
             h_m = model.tokenize(sample.person_a).tokens
-            h_n = T.Tensor(model.tokenize(sample.person_b).tokens.data,
-                           requires_grad=True)
+            h_n = T.Tensor(model.tokenize(sample.person_b).tokens.data, requires_grad=True)
             out_m, _ = itb_forward(h_m, h_n, graphs, model.itbs[0], model.cfg,
                                    5, model.cfg.spm.L)
             out_m.sum().backward()
@@ -397,7 +420,7 @@ def _structural_checks():
     @check("model.forward-determinism")
     def _():
         rng = np.random.default_rng(16)
-        model = _tiny_model(seed=4)
+        model = init_params(_tiny_cfg(N=2, spm=_SWAP_SPM), seed=4)
         sample, graphs = _tiny_sample(rng, model.cfg)
         assert np.array_equal(model.forward(sample, graphs).data,
                               model.forward(sample, graphs).data)
@@ -434,19 +457,18 @@ def _structural_checks():
         sample = InteractionSample(SkeletonSequence(rng.normal(size=(5, 15, 3))),
                                    SkeletonSequence(rng.normal(size=(5, 15, 3))),
                                    label=3, source_id="verify")
-        back = read_canonical(write_canonical(sample))
+        blob = write_canonical(sample)
+        back = read_canonical(blob)
         assert np.array_equal(back.person_a.coords, sample.person_a.coords)
         assert np.array_equal(back.person_b.coords, sample.person_b.coords)
+        assert (back.label, back.source_id) == (3, "verify")
+        assert write_canonical(back) == blob
 
     @check("graphs.sidecar-roundtrip")
     def _():
         rng = np.random.default_rng(18)
-        part_map = builtin_part_map(15)
-        cfg = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-        sample = InteractionSample(SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   label=0)
-        g = build_interaction_graphs(sample, part_map, cfg, k=5)
+        g = build_interaction_graphs(_random_sample(rng, _GRAPH_SPM.T), builtin_part_map(15),
+                                     _GRAPH_SPM, k=5)
         m, k, ab, ba = read_sidecar(write_sidecar(g))
         assert (m, k) == (g.M, 5)
         assert np.array_equal(ab, g.dsig_ab) and np.array_equal(ba, g.dsig_ba)
@@ -461,7 +483,12 @@ def _structural_checks():
         end = np.linalg.norm(d0.person_a.coords[-1].mean(0) - d0.person_b.coords[-1].mean(0))
         assert end < start  # class 0 approaches
 
-    return checks
+    return entries
+
+
+def checks():
+    """The battery as [(id, fn)], in report order; `fn()` raises on failure."""
+    return _gradchecks() + _structural_checks()
 
 
 def _corrupting(op_name):
@@ -480,7 +507,7 @@ def _corrupting(op_name):
 
 def run_checks(corrupt_op=None, log_fn=None):
     """Run the whole battery; returns (all_passed, [(id, passed, detail)])."""
-    entries = _check_op_gradients() + _structural_checks()
+    entries = checks()
     if corrupt_op is not None and not any(
             name == f"tensor.gradcheck.{corrupt_op}" for name, _ in entries):
         raise ValueError(f"no gradient check named {corrupt_op!r}")

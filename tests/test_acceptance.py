@@ -5,24 +5,19 @@ Run with `pytest tests/test_acceptance.py -v -s`. The heavyweight fixtures
 stated runtime budgets on one CPU core.
 """
 
-import sys
-from pathlib import Path
-
-import numpy as np
 import pytest
 
-import igformer.tensor as T
 from igformer import training as tr
 from igformer import verify as vmod
 from igformer.config import default_config
-from igformer.gradcheck import check_gradients
-from igformer.graphs import DistanceGraphConfig, build_interaction_graphs, knn_threshold
-from igformer.model import ModelConfig, init_params, itb_forward, save_checkpoint
-from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_map
+from igformer.graphs import DistanceGraphConfig
+from igformer.model import ModelConfig, init_params, save_checkpoint
+from igformer.skeleton import builtin_part_map
 from igformer.spm import SpmConfig
 
-sys.path.insert(0, str(Path(__file__).parent))
-from test_graphs import brute_force_dsig  # noqa: E402  (independent loop oracle)
+# structural criteria run the `verify` battery's checks, the one implementation
+# of each oracle and invariant
+BATTERY = dict(vmod.checks())
 
 
 def report(name):
@@ -95,8 +90,9 @@ def test_criterion_configuration_fidelity():
 
 
 def test_criterion_gradient_suite_per_op():
-    for name, run in vmod._check_op_gradients():
-        run()  # 20 random instances per differentiable op, rel err < 1e-4
+    for check_id, fn in BATTERY.items():
+        if check_id.startswith("tensor.gradcheck."):
+            fn()  # 20 random instances per differentiable op, rel err < 1e-4
     report("gradient-suite-per-op")
 
 
@@ -106,117 +102,26 @@ def test_criterion_gradient_suite_end_to_end():
                       spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=32),
                       dsig=DistanceGraphConfig(k=5))
     assert cfg.spm.M(5) == 40
-    model = init_params(cfg, seed=11)
-    rng = np.random.default_rng(42)
-    part_map = builtin_part_map(15)
-    sample = InteractionSample(SkeletonSequence(rng.normal(size=(32, 15, 3))),
-                               SkeletonSequence(rng.normal(size=(32, 15, 3))),
-                               label=1)
-    graphs = build_interaction_graphs(sample, part_map, cfg.spm, cfg.dsig.k)
-
-    def build():
-        model.zero_grads()
-        loss, _ = model.loss(sample, graphs)
-        return loss
-
-    params = [model.named_parameters()[n] for n in sorted(model.named_parameters())]
-    worst = check_gradients(build, params, h=1e-5, tol=1e-4)
+    worst, count = vmod.end_to_end_gradcheck(cfg, model_seed=11, sample_seed=42, tol=1e-4)
     assert worst < 1e-4
-    report(f"gradient-suite-end-to-end (worst rel err {worst:.2e} over {len(params)} tensors)")
+    report(f"gradient-suite-end-to-end (worst rel err {worst:.2e} over {count} tensors)")
 
 
 def test_criterion_dsig_oracle():
-    rng = np.random.default_rng(7)
-    part_map = builtin_part_map(15)
-    cfg = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-    k = 6
-    for _ in range(100):
-        sample = InteractionSample(SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                                   label=0)
-        g = build_interaction_graphs(sample, part_map, cfg, k=k)
-        dist, dsig = brute_force_dsig(sample.person_a.coords, sample.person_b.coords,
-                                      part_map, cfg, k)
-        assert np.array_equal(g.A_ab, dist)
-        assert np.array_equal(g.dsig_ab, dsig)
-        _, dsig_ba = brute_force_dsig(sample.person_b.coords, sample.person_a.coords,
-                                      part_map, cfg, k)
-        assert np.array_equal(g.dsig_ba, dsig_ba)
+    BATTERY["dsig.brute-force-oracle"]()  # 100 samples, both directions
     report("dsig-oracle (100 samples bit-identical)")
 
 
 def test_criterion_graph_invariants():
-    rng = np.random.default_rng(9)
-    from igformer.attention import fuse_graphs, sdig
-    # fused weights are row-stochastic within 1e-6
-    for _ in range(20):
-        dsig = (rng.uniform(size=(10, 10)) > 0.5).astype(float)
-        r = fuse_graphs(dsig, T.Tensor(rng.normal(size=(10, 10))),
-                        T.Tensor(rng.normal()))
-        assert np.abs(r.data.sum(axis=1) - 1.0).max() < 1e-6
-    # DSIG invariant to rigid translation of both persons (bit equality)
-    part_map = builtin_part_map(15)
-    cfg = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-    sample = InteractionSample(SkeletonSequence(rng.normal(size=(40, 15, 3))),
-                               SkeletonSequence(rng.normal(size=(40, 15, 3))), label=0)
-    v = np.array([3.0, -1.5, 0.25])
-    moved = InteractionSample(SkeletonSequence(sample.person_a.coords + v),
-                              SkeletonSequence(sample.person_b.coords + v), label=0)
-    g0 = build_interaction_graphs(sample, part_map, cfg, k=6)
-    g1 = build_interaction_graphs(moved, part_map, cfg, k=6)
-    assert np.array_equal(g0.dsig_ab, g1.dsig_ab)
-    assert np.array_equal(g0.dsig_ba, g1.dsig_ba)
-    # row sums >= k, equal under distinct distances
-    for _ in range(20):
-        A = rng.uniform(size=(12, 12))
-        sums = knn_threshold(A, 4).sum(axis=1)
-        assert (sums == 4).all()
-    tied = np.array([[0.2, 0.5, 0.5, 0.9]])
-    assert knn_threshold(tied, 2).sum() == 3  # >= k with ties included
-    # semantic graph matches the elementwise oracle to 1e-12 on M <= 8
-    B, L, d = 2, 4, 3
-    m = B * L
-    h_me, h_ne = rng.normal(size=(m, d)), rng.normal(size=(m, d))
-    wq, wk = rng.normal(size=(d, d)), rng.normal(size=(d, d))
-    scale = np.sqrt(d)
-    out = sdig(T.Tensor(h_me), T.Tensor(h_ne), T.Tensor(wq), T.Tensor(wk),
-               B=B, L=L, scale=scale)
-    for a in range(m):
-        for b in range(m):
-            tb, pb = divmod(b, B)
-            tc = sum(h_ne[t * B + pb] for t in range(L)) / L
-            sc = sum(h_ne[tb * B + p] for p in range(B)) / B
-            want = float((h_me[a] @ wq) @ ((h_ne[b] + tc + sc) @ wk)) / scale
-            assert abs(out.data[a, b] - want) < 1e-12
+    for check_id in ("gimsa.fused-rows-stochastic", "dsig.translation-invariance",
+                     "dsig.row-sums-and-tie-inclusion", "gimsa.sdig.elementwise-oracle"):
+        BATTERY[check_id]()
     report("graph-invariants")
 
 
 def test_criterion_symmetry():
-    rng = np.random.default_rng(10)
-    cfg = ModelConfig(num_classes=3, D=8, h=2, N=2, tie_person_branches=True,
-                      spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=16),
-                      dsig=DistanceGraphConfig(k=5))
-    model = init_params(cfg, seed=5)
-    part_map = builtin_part_map(15)
-    sample = InteractionSample(SkeletonSequence(rng.normal(size=(16, 15, 3))),
-                               SkeletonSequence(rng.normal(size=(16, 15, 3))), label=0)
-    graphs = build_interaction_graphs(sample, part_map, cfg.spm, cfg.dsig.k)
-    swapped = InteractionSample(sample.person_b, sample.person_a, label=0)
-    assert np.array_equal(model.forward(sample, graphs).data,
-                          model.forward(swapped, graphs.swapped()).data)
-    # cross-person gradient: exactly zero without the interaction module,
-    # nonzero with it
-    for mode, expect in (("no_gimsa", False), ("full", True)):
-        mcfg = ModelConfig(num_classes=3, D=8, h=2, N=1, mode=mode,
-                           spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=16),
-                           dsig=DistanceGraphConfig(k=5))
-        m2 = init_params(mcfg, seed=6)
-        h_m = m2.tokenize(sample.person_a).tokens
-        h_n = T.Tensor(m2.tokenize(sample.person_b).tokens.data, requires_grad=True)
-        out_m, _ = itb_forward(h_m, h_n, graphs, m2.itbs[0], mcfg, 5, mcfg.spm.L)
-        out_m.sum().backward()
-        has_grad = h_n.grad is not None and np.abs(h_n.grad).max() > 0
-        assert has_grad == expect, f"mode={mode}"
+    BATTERY["model.person-swap-logits"]()
+    BATTERY["model.cross-person-gradient"]()
     report("symmetry")
 
 

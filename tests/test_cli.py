@@ -4,40 +4,10 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
+from conftest import TINY_CONFIG
 from igformer import attention
-from igformer.cli import main
-
-TINY_CONFIG = """
-[spm]
-P = 4
-stride = 4
-padding = 0
-T = 16
-
-[dsig]
-k = 5
-
-[model]
-num_classes = 4
-D = 8
-h = 2
-N = 1
-
-[train]
-epochs = 2
-batch_size = 4
-milestones =
-seed = 0
-"""
-
-
-@pytest.fixture
-def cfg_path(tmp_path):
-    path = tmp_path / "tiny.ini"
-    path.write_text(TINY_CONFIG)
-    return str(path)
+from igformer.cli import _load_manifest_overrides, build_parser, main
 
 
 def run(*argv):
@@ -96,6 +66,35 @@ class TestPrepare:
 
     def test_bad_flag_exits_one(self):
         assert run("prepare", "--format", "bogus", "--out", "/tmp/x") == 1
+
+    def test_replay_from_manifest(self, tmp_path, cfg_path):
+        first = tmp_path / "first"
+        assert run("prepare", "--format", "synth", "--count", "6", "--classes", "3",
+                   "--frames", "16", "--amplitude", "0.5", "--gen-noise", "0.02",
+                   "--config", cfg_path, "--out", str(first), "--seed", "4") == 0
+        replay = tmp_path / "replay"
+        assert run("prepare", "--format", "synth", "--from-manifest",
+                   str(first / "manifest.json"), "--out", str(replay)) == 0
+        names = sorted(p.name for p in first.glob("*.igf*"))
+        assert len(names) == 12
+        assert sorted(p.name for p in replay.glob("*.igf*")) == names
+        for name in names:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_explicit_flags_beat_recorded_values(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": {}, "args": {"noise_sigma": 0.05,
+                                                               "count": 6}}))
+
+        def replay(*argv):
+            args = build_parser().parse_args(
+                [*argv, "--out", "o", "--from-manifest", str(manifest)])
+            return _load_manifest_overrides(args)
+
+        assert replay("eval", "--data", "d", "--checkpoint", "c",
+                      "--noise-sigma", "0").noise_sigma == 0.0
+        assert replay("eval", "--data", "d", "--checkpoint", "c").noise_sigma == 0.05
+        assert replay("prepare", "--format", "synth", "--count", "2").count == 2
 
 
 class TestTrainEval:

@@ -14,24 +14,8 @@ from igformer.errors import ParseError
 from igformer.skeleton import builtin_part_map
 
 sys.path.insert(0, str(Path(__file__).parent))
+from conftest import TINY_CONFIG  # noqa: E402
 from test_skeleton import body_joints, ntu_fixture  # noqa: E402
-
-TINY_CONFIG = """
-[spm]
-P = 4
-stride = 4
-padding = 0
-T = 16
-
-[dsig]
-k = 5
-
-[model]
-num_classes = 4
-D = 8
-h = 2
-N = 1
-"""
 
 
 @pytest.fixture(scope="module")
@@ -149,9 +133,7 @@ class TestUndecodableText:
         with pytest.raises(ParseError, match="not valid UTF-8"):
             skel.parse_sbu(row.encode("utf-8") + b"\xc3\x28")
 
-    def test_prepare_skips_undecodable_file(self, tmp_path, caplog):
-        cfg_path = tmp_path / "tiny.ini"
-        cfg_path.write_text(TINY_CONFIG)
+    def test_prepare_skips_undecodable_file(self, tmp_path, cfg_path, caplog):
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "S001C001P001R001A001.skeleton").write_bytes(b"\xff\xfe" + b"1\n" * 8)
@@ -160,7 +142,7 @@ class TestUndecodableText:
         out = tmp_path / "out"
         with caplog.at_level(logging.WARNING, logger="igformer"):
             code = cli.main(["prepare", "--format", "ntu", "--input", str(raw),
-                             "--config", str(cfg_path), "--out", str(out)])
+                             "--config", cfg_path, "--out", str(out)])
         assert code == 0
         assert sorted(p.name for p in out.glob("*.igf")) == [
             "S001C001P001R001A002.igf", "S001C001P001R001A003.igf"]
@@ -172,25 +154,39 @@ class TestUnparseableLabels:
                                       "S001C001P001R001A000.skeleton"])
     def test_ntu_name_without_action_field(self, name):
         with pytest.raises(ParseError, match="action field"):
-            cli._infer_label(Path("/data/ntu") / name, "ntu")
+            cli._infer_label(Path("/data/ntu") / name, "ntu", Path("/data/ntu"))
 
     def test_ntu_action_field(self):
-        assert cli._infer_label(Path("S001C001P001R001A060.skeleton"), "ntu") == 59
+        assert cli._infer_label(Path("S001C001P001R001A060.skeleton"), "ntu", Path(".")) == 59
 
     @pytest.mark.parametrize("where", ["s01s02/001/skeleton_pos.txt",
                                        "s01s02/09/001/skeleton_pos.txt",
                                        "s01s02/1/001/skeleton_pos.txt"])
     def test_sbu_file_outside_class_directory(self, where):
         with pytest.raises(ParseError, match="class directory"):
-            cli._infer_label(Path("/data/sbu") / where, "sbu")
+            cli._infer_label(Path("/data/sbu") / where, "sbu", Path("/data/sbu"))
 
     def test_sbu_class_directory(self):
         path = Path("/data/sbu/s01s02/08/001/skeleton_pos.txt")
-        assert cli._infer_label(path, "sbu") == 7
+        assert cli._infer_label(path, "sbu", Path("/data/sbu")) == 7
 
-    def test_prepare_skips_unlabeled_files(self, tmp_path, caplog):
-        cfg_path = tmp_path / "tiny.ini"
-        cfg_path.write_text(TINY_CONFIG)
+    def test_sbu_class_directory_above_input_ignored(self):
+        path = Path("/archive/05/sbu/s01s02/unsorted/skeleton_pos.txt")
+        with pytest.raises(ParseError, match="class directory"):
+            cli._infer_label(path, "sbu", Path("/archive/05/sbu"))
+
+    def test_prepare_skips_file_labeled_only_above_input(self, tmp_path, cfg_path, caplog):
+        rows = "\n".join("%d,%s" % (f + 1, ",".join(["0.5"] * 90)) for f in range(4))
+        root = tmp_path / "archive" / "05" / "sbu"
+        (root / "s01s02" / "unsorted").mkdir(parents=True)
+        (root / "s01s02" / "unsorted" / "skeleton_pos.txt").write_text(rows)
+        with caplog.at_level(logging.WARNING, logger="igformer"):
+            assert cli.main(["prepare", "--format", "sbu", "--input", str(root),
+                             "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+        assert "skipping" in caplog.text and "no class directory" in caplog.text
+        assert not list((tmp_path / "out").glob("*.igf"))
+
+    def test_prepare_skips_unlabeled_files(self, tmp_path, cfg_path, caplog):
         raw = tmp_path / "raw"
         raw.mkdir()
         (raw / "S001C001P001R001A002.skeleton").write_text(ntu_text())
@@ -198,15 +194,13 @@ class TestUnparseableLabels:
         out = tmp_path / "out"
         with caplog.at_level(logging.WARNING, logger="igformer"):
             assert cli.main(["prepare", "--format", "ntu", "--input", str(raw),
-                             "--config", str(cfg_path), "--out", str(out)]) == 0
+                             "--config", cfg_path, "--out", str(out)]) == 0
         assert [p.name for p in out.glob("*.igf")] == ["S001C001P001R001A002.igf"]
         assert "unlabeled.skeleton" in caplog.text
 
-    def test_prepare_with_only_unlabeled_files_exits_one(self, tmp_path):
-        cfg_path = tmp_path / "tiny.ini"
-        cfg_path.write_text(TINY_CONFIG)
+    def test_prepare_with_only_unlabeled_files_exits_one(self, tmp_path, cfg_path):
         rows = "\n".join("%d,%s" % (f + 1, ",".join(["0.5"] * 90)) for f in range(4))
         (tmp_path / "raw" / "s01s02" / "001").mkdir(parents=True)
         (tmp_path / "raw" / "s01s02" / "001" / "skeleton_pos.txt").write_text(rows)
         assert cli.main(["prepare", "--format", "sbu", "--input", str(tmp_path / "raw"),
-                         "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+                         "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1

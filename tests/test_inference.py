@@ -181,29 +181,6 @@ def test_evaluate_restores_requires_grad():
     assert {name: t.requires_grad for name, t in registry.items()} == before
 
 
-TINY_CONFIG = """
-[spm]
-P = 4
-stride = 4
-padding = 0
-T = 16
-
-[dsig]
-k = 5
-
-[model]
-num_classes = 4
-D = 8
-h = 2
-N = 1
-
-[train]
-epochs = 2
-batch_size = 4
-milestones =
-seed = 0
-"""
-
 # eval.txt of the run below, recorded when eval still drew a random init and
 # recorded a tape on every forward
 PINNED_EVAL_TXT = """accuracy 0.5000
@@ -219,10 +196,8 @@ confusion (rows = true):
 """
 
 
-def test_eval_txt_unchanged(tmp_path):
-    cfg_path = tmp_path / "tiny.ini"
-    cfg_path.write_text(TINY_CONFIG)
-    common = ["--config", str(cfg_path)]
+def test_eval_txt_unchanged(tmp_path, cfg_path):
+    common = ["--config", cfg_path]
     assert cli.main(["prepare", "--format", "synth", "--count", "8", "--frames", "16",
                      "--out", str(tmp_path / "data"), "--seed", "1", *common]) == 0
     assert cli.main(["train", "--data", str(tmp_path / "data"), "--out",

@@ -1,5 +1,7 @@
 """Model assembly: SE layer, interaction blocks, end-to-end forward, init,
-checkpoints, and cross-person information flow."""
+checkpoints, and cross-person information flow. Person-swap symmetry, forward
+determinism and the end-to-end gradient check are verify battery checks
+(`model.*`)."""
 
 import math
 
@@ -9,7 +11,6 @@ import pytest
 import igformer.tensor as T
 from igformer import model as M
 from igformer.errors import ConfigError
-from igformer.gradcheck import check_gradients
 from igformer.graphs import build_interaction_graphs
 from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_map
 from igformer.spm import SpmConfig
@@ -89,17 +90,6 @@ class TestItb:
         out_m2, _ = M.itb_forward(h_m, h_n2, graphs, model.itbs[0], cfg, 5, cfg.spm.L)
         assert np.array_equal(out_m.data, out_m2.data)
 
-    def test_full_mode_cross_sensitivity(self):
-        rng = np.random.default_rng(4)
-        cfg = tiny_cfg(mode="full")
-        model = M.init_params(cfg, seed=1)
-        sample, graphs, _ = sample_with_graphs(rng, cfg)
-        h_m = model.tokenize(sample.person_a).tokens
-        h_n = T.Tensor(model.tokenize(sample.person_b).tokens.data, requires_grad=True)
-        out_m, _ = M.itb_forward(h_m, h_n, graphs, model.itbs[0], cfg, 5, cfg.spm.L)
-        out_m.sum().backward()
-        assert h_n.grad is not None and np.abs(h_n.grad).max() > 0
-
     def test_no_gimsa_zero_cross_gradient(self):
         rng = np.random.default_rng(5)
         cfg = tiny_cfg(mode="no_gimsa")
@@ -140,16 +130,6 @@ class TestForward:
         logits = model.forward(sample, graphs)
         assert logits.shape == (1, 11)
 
-    def test_person_swap_logits_bit_identical_when_tied(self):
-        rng = np.random.default_rng(8)
-        cfg = tiny_cfg(tie_person_branches=True)
-        model = M.init_params(cfg, seed=3)
-        sample, graphs, part_map = sample_with_graphs(rng, cfg)
-        swapped = InteractionSample(sample.person_b, sample.person_a, label=sample.label)
-        out = model.forward(sample, graphs)
-        out_swapped = model.forward(swapped, graphs.swapped())
-        assert np.array_equal(out.data, out_swapped.data)
-
     def test_duplicated_person_is_swap_invariant(self):
         rng = np.random.default_rng(9)
         cfg = tiny_cfg(tie_person_branches=True)
@@ -183,15 +163,6 @@ class TestForward:
         assert np.array_equal(graphs.dsig_ab, graphs2.dsig_ab)
         assert not np.array_equal(model.forward(sample, graphs).data,
                                   model.forward(moved, graphs2).data)
-
-    def test_forward_deterministic(self):
-        rng = np.random.default_rng(12)
-        cfg = tiny_cfg()
-        model = M.init_params(cfg, seed=7)
-        sample, graphs, _ = sample_with_graphs(rng, cfg)
-        a = model.forward(sample, graphs)
-        b = model.forward(sample, graphs)
-        assert np.array_equal(a.data, b.data)
 
     def test_label_range_checked(self):
         rng = np.random.default_rng(13)
@@ -276,26 +247,3 @@ class TestCheckpoint:
         b1 = M.save_checkpoint(M.init_params(cfg, seed=5), "d")
         b2 = M.save_checkpoint(M.init_params(cfg, seed=5), "d")
         assert b1 == b2
-
-
-class TestEndToEndGradients:
-    def test_finite_difference_on_parameter_sample(self):
-        # full-model gradient check on a representative subset of parameters;
-        # the acceptance suite covers every parameter of the tiny config
-        rng = np.random.default_rng(15)
-        from igformer.graphs import DistanceGraphConfig
-        cfg = tiny_cfg(N=1, spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=8),
-                       dsig=DistanceGraphConfig(k=3))
-        model = M.init_params(cfg, seed=11)
-        sample, graphs, _ = sample_with_graphs(rng, cfg, label=1)
-
-        def build():
-            model.zero_grads()
-            loss, _ = model.loss(sample, graphs)
-            return loss
-
-        names = ["spm.conv.kernel", "spm.posenc", "itb0.se.attn.wq",
-                 "itb0.gi.h0.wq", "itb0.gi.h0.alpha", "itb0.gi.wm",
-                 "itb0.out_n.ffn.w1", "head.w", "itb0.se.ln1.gamma"]
-        params = [model.named_parameters()[n] for n in names]
-        check_gradients(build, params, tol=1e-4)

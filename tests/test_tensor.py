@@ -1,5 +1,6 @@
-"""Tensor core: forward semantics against hand/loop oracles, backward against
-central finite differences."""
+"""Tensor core: forward semantics against hand/loop oracles and backward
+semantics on hand cases. The finite-difference check of every op's backward
+is the `tensor.gradcheck.*` family of the verify battery."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 import igformer.tensor as T
 from igformer.errors import ConfigError, NumericError, ShapeError, UsageError
-from igformer.gradcheck import check_gradients, numeric_grad
+from igformer.gradcheck import numeric_grad
 
 
 def matmul_oracle(a, b):
@@ -27,15 +28,6 @@ def matmul_oracle(a, b):
 
 
 class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(a))
-        assert np.array_equal(out.data, a)
-
-    def test_zero_annihilation(self):
-        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(np.zeros((2, 2))))
-        assert np.array_equal(out.data, np.zeros((2, 2)))
-
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
@@ -62,13 +54,6 @@ class TestSoftmaxRows:
         out = T.softmax_rows(T.Tensor([[1000.0, 0.0]]))
         assert np.isfinite(out.data).all()
         assert out.data[0, 0] > 0.999999
-
-    def test_rows_sum_to_one_at_large_magnitude(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(-1e4, 1e4, size=(20, 7))
-        out = T.softmax_rows(T.Tensor(x))
-        assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-6
-        assert (out.data >= 0).all()
 
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):
@@ -106,13 +91,6 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=1, padding=0)
         assert out.data.shape == (1, 3)
 
-    def test_default_geometry_gives_25_steps(self):
-        assert T.conv_steps(256, 16, 10, 2) == 25
-        x = np.zeros((256, 16, 3))
-        k = np.zeros((4, 16, 16, 3))
-        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=10, padding=2)
-        assert out.data.shape == (25, 4)
-
     def test_hand_unrolled_window_sums(self):
         # all-ones 4x2 input, all-ones 1x2x2 kernel: three windows of sum 4
         x = np.ones((4, 2))
@@ -120,25 +98,6 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), bias=T.Tensor(np.zeros(1)),
                        stride=1, padding=0)
         assert np.array_equal(out.data, np.array([[4.0], [4.0], [4.0]]))
-
-    def test_step_count_formula_matches_windows(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            t = int(rng.integers(4, 40))
-            p = int(rng.integers(1, min(t, 9) + 1))
-            stride = int(rng.integers(1, 6))
-            padding = int(rng.integers(0, 4))
-            want = T.conv_steps(t, p, stride, padding)
-            if want < 1:
-                continue
-            x = rng.normal(size=(t, p))
-            k = rng.normal(size=(2, p, p))
-            out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=padding)
-            # enumerate the windows directly on the padded sequence
-            xpad = np.pad(x, ((padding, padding), (0, 0)))
-            count = sum(1 for j in range(xpad.shape[0])
-                        if j % stride == 0 and j + p <= xpad.shape[0])
-            assert out.data.shape[0] == want == count
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,12 +115,6 @@ class TestResize:
         x = np.array([0.0, 1.0, 2.0]).reshape(1, 3, 1)
         out = T.linear_interp_resize(T.Tensor(x), 5)
         assert np.allclose(out.data[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-15)
-
-    def test_identity_when_sizes_match(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(3, 4, 3))
-        out = T.linear_interp_resize(T.Tensor(x), 4)
-        assert np.array_equal(out.data, x)
 
     def test_single_joint_broadcasts(self):
         x = np.array([7.0]).reshape(1, 1, 1)
@@ -247,149 +200,6 @@ class TestSgdNesterov:
     def test_lr_validation(self):
         with pytest.raises(ConfigError):
             T.sgd_nesterov_step([np.array([1.0])], [np.zeros(1)], [np.zeros(1)], lr=0.0)
-
-
-def _rand(rng, *shape):
-    return T.Tensor(rng.normal(size=shape), requires_grad=True)
-
-
-class TestFiniteDifferences:
-    """Every differentiable op, >= 20 random small instances each."""
-
-    N_INSTANCES = 20
-
-    def _run(self, make_case):
-        rng = np.random.default_rng(99)
-        for _ in range(self.N_INSTANCES):
-            build, params = make_case(rng)
-            check_gradients(build, params, tol=1e-4)
-
-    def test_add(self):
-        def case(rng):
-            a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
-            w = rng.normal(size=(3, 4))
-            return (lambda: ((a + b) * T.Tensor(w)).sum()), [a, b]
-        self._run(case)
-
-    def test_add_broadcast_bias(self):
-        def case(rng):
-            a, b = _rand(rng, 3, 4), _rand(rng, 4)
-            w = rng.normal(size=(3, 4))
-            return (lambda: ((a + b) * T.Tensor(w)).sum()), [a, b]
-        self._run(case)
-
-    def test_mul(self):
-        def case(rng):
-            a, b = _rand(rng, 2, 5), _rand(rng, 2, 5)
-            return (lambda: (a * b).sum()), [a, b]
-        self._run(case)
-
-    def test_scalar_tensor_mul(self):
-        def case(rng):
-            a, s = _rand(rng, 3, 3), _rand(rng)
-            return (lambda: (s * a).sum()), [a, s]
-        self._run(case)
-
-    def test_matmul(self):
-        def case(rng):
-            a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-            w = rng.normal(size=(3, 2))
-            return (lambda: (T.matmul(a, b) * T.Tensor(w)).sum()), [a, b]
-        self._run(case)
-
-    def test_transpose(self):
-        def case(rng):
-            a = _rand(rng, 3, 4)
-            w = rng.normal(size=(4, 3))
-            return (lambda: (T.transpose(a) * T.Tensor(w)).sum()), [a]
-        self._run(case)
-
-    def test_softmax_rows(self):
-        def case(rng):
-            a = _rand(rng, 4, 5)
-            w = rng.normal(size=(4, 5))
-            return (lambda: (T.softmax_rows(a) * T.Tensor(w)).sum()), [a]
-        self._run(case)
-
-    def test_layer_norm(self):
-        def case(rng):
-            x, g, b = _rand(rng, 3, 6), _rand(rng, 6), _rand(rng, 6)
-            w = rng.normal(size=(3, 6))
-            return (lambda: (T.layer_norm(x, g, b, eps=1e-6) * T.Tensor(w)).sum()), [x, g, b]
-        self._run(case)
-
-    def test_gelu(self):
-        def case(rng):
-            x = _rand(rng, 4, 4)
-            w = rng.normal(size=(4, 4))
-            return (lambda: (T.gelu(x) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_conv2d(self):
-        def case(rng):
-            x = _rand(rng, 9, 3, 2)
-            k = _rand(rng, 2, 3, 3, 2)
-            b = _rand(rng, 2)
-            w = rng.normal(size=(T.conv_steps(9, 3, 2, 1), 2))
-            return (lambda: (T.conv2d(x, k, b, stride=2, padding=1) * T.Tensor(w)).sum()), [x, k, b]
-        self._run(case)
-
-    def test_linear_interp_resize(self):
-        def case(rng):
-            x = _rand(rng, 3, 4, 2)
-            w = rng.normal(size=(3, 7, 2))
-            return (lambda: (T.linear_interp_resize(x, 7) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_mean_axis(self):
-        def case(rng):
-            x = _rand(rng, 4, 3, 2)
-            w = rng.normal(size=(4, 2))
-            return (lambda: (T.mean_axis(x, 1) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_concat(self):
-        def case(rng):
-            a, b = _rand(rng, 3, 2), _rand(rng, 3, 3)
-            w = rng.normal(size=(3, 5))
-            return (lambda: (T.concat([a, b], axis=1) * T.Tensor(w)).sum()), [a, b]
-        self._run(case)
-
-    def test_slice_axis(self):
-        def case(rng):
-            x = _rand(rng, 4, 6)
-            w = rng.normal(size=(4, 3))
-            return (lambda: (T.slice_axis(x, 1, 1, 4) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_permute_rows(self):
-        def case(rng):
-            x = _rand(rng, 5, 3)
-            perm = rng.permutation(5)
-            w = rng.normal(size=(5, 3))
-            return (lambda: (T.permute_rows(x, perm) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_broadcast_to(self):
-        def case(rng):
-            x = _rand(rng, 1, 4)
-            w = rng.normal(size=(3, 4))
-            return (lambda: (T.broadcast_to(x, (3, 4)) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_reshape(self):
-        def case(rng):
-            x = _rand(rng, 2, 6)
-            w = rng.normal(size=(3, 4))
-            return (lambda: (T.reshape(x, (3, 4)) * T.Tensor(w)).sum()), [x]
-        self._run(case)
-
-    def test_cross_entropy(self):
-        def case(rng):
-            x = _rand(rng, 3, 4)
-            labels = rng.integers(0, 4, size=3)
-            return (lambda: T.cross_entropy(x, labels)), [x]
-        self._run(case)
 
 
 class TestDtypeConfig:
