@@ -1,6 +1,6 @@
 """GI-MSA: context means, semantic graph, fusion, heads, gradients, modes. The
-sdig elementwise oracle, row-stochastic fusion, row-shift invariance and
-person-swap equivariance are verify battery checks (`gimsa.*`)."""
+sdig elementwise oracle and person-swap equivariance are verify battery checks
+(`gimsa.*`)."""
 
 import math
 
@@ -97,6 +97,15 @@ class TestFuseGraphs:
         r = A.fuse_graphs(np.zeros((3, 3)), T.Tensor(s), alpha)
         want = T.softmax_rows(T.Tensor(1.7 * s)).data
         assert np.allclose(r.data, want, atol=1e-15)
+
+    def test_rows_stochastic(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            dsig = (rng.uniform(size=(6, 6)) > 0.6).astype(float)
+            r = A.fuse_graphs(dsig, T.Tensor(rng.normal(size=(6, 6))),
+                              T.Tensor(rng.normal()))
+            assert np.abs(r.data.sum(axis=1) - 1.0).max() < 1e-6
+
 
 class TestGiSa:
     def test_zero_value_weights_residual_only(self):
@@ -231,6 +240,23 @@ class TestSharedDirectionWeights:
         out_m, _ = A.gi_msa(h_me, h_ne, g, p, B=2, L=3)
         (out_m * T.Tensor(rng.normal(size=(m, d)))).sum().backward()
         assert abs(float(p.alpha[0].grad)) > 0
+
+
+class TestSymmetryAndInvariance:
+    def test_sdig_row_shift_invariance(self):
+        # adding a constant to one row of the semantic logits leaves that
+        # row of R, and hence the mixed output, unchanged
+        rng = np.random.default_rng(16)
+        m = 4
+        dsig = np.zeros((m, m))
+        s = rng.normal(size=(m, m))
+        alpha = T.Tensor(1.0)
+        r0 = A.fuse_graphs(dsig, T.Tensor(s), alpha).data
+        shifted = s.copy()
+        shifted[2] += 7.5
+        r1 = A.fuse_graphs(dsig, T.Tensor(shifted), alpha).data
+        assert np.allclose(r0[2], r1[2], atol=1e-12)
+        assert np.allclose(r0, r1, atol=1e-12)
 
 
 class TestModes:

@@ -1,6 +1,8 @@
-"""Distance graphs: hand cases and invariants. The full-pipeline brute-force
-oracle and the k-NN, translation and sidecar invariants are checks of the
-verify battery (`dsig.*`, `graphs.sidecar-roundtrip`)."""
+"""Distance graphs: hand cases, loop oracles of each stage, and invariants.
+The full-pipeline brute-force oracle is the verify battery check
+`dsig.brute-force-oracle`."""
+
+import math
 
 import numpy as np
 import pytest
@@ -67,6 +69,15 @@ class TestDownsample:
         assert steps.shape == (1, 3)
         assert np.allclose(steps[0], traj.mean(axis=0), atol=1e-15)
 
+    def test_linear_ramp_matches_window_oracle(self):
+        traj = np.linspace(0, 1, 40)[:, None] * np.array([1.0, -2.0, 0.5])
+        steps = G.downsample_to_steps(traj, TINY)
+        for j in range(TINY.L):
+            lo = max(0, j * TINY.stride - TINY.padding)
+            hi = min(40, j * TINY.stride - TINY.padding + TINY.P)
+            want = sum(traj[f] for f in range(lo, hi)) / (hi - lo)
+            assert np.abs(steps[j] - want).max() < 1e-12
+
     def test_frame_count_mismatch(self):
         with pytest.raises(ConfigError):
             G.downsample_to_steps(np.zeros((20, 3)), TINY)
@@ -82,6 +93,16 @@ class TestPairwiseDistance:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(6, 3))
         assert np.array_equal(np.diag(G.pairwise_distance(x, x)), np.zeros(6))
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(10, 3)), rng.normal(size=(10, 3))
+        d = G.pairwise_distance(a, b)
+        for i in range(10):
+            for j in range(10):
+                want = math.sqrt(sum((a[i, c] - b[j, c]) ** 2 for c in range(3)))
+                assert abs(d[i, j] - want) < 1e-12
+
 
 class TestKnnThreshold:
     def test_row_sort_case(self):
@@ -99,6 +120,10 @@ class TestKnnThreshold:
         dsig = G.knn_threshold(G.pairwise_distance(x, x), 1)
         assert (np.diag(dsig) == 1.0).all()
 
+    def test_ties_included(self):
+        A = np.array([[0.1, 0.3, 0.3, 0.7]])
+        assert np.array_equal(G.knn_threshold(A, 2)[0], [1.0, 1.0, 1.0, 0.0])
+
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             G.knn_threshold(np.zeros((3, 3)), 4)
@@ -109,6 +134,18 @@ class TestGraphInvariants:
         rng = np.random.default_rng(7)
         g = G.build_interaction_graphs(random_sample(rng), builtin_part_map(15), TINY, k=5)
         assert np.array_equal(g.A_ab, g.A_ba.T)
+
+    def test_joint_translation_leaves_dsig_unchanged(self):
+        rng = np.random.default_rng(8)
+        s = random_sample(rng)
+        v = np.array([1.5, -0.7, 2.0])
+        moved = InteractionSample(SkeletonSequence(s.person_a.coords + v),
+                                  SkeletonSequence(s.person_b.coords + v), label=0)
+        m = builtin_part_map(15)
+        g0 = G.build_interaction_graphs(s, m, TINY, k=5)
+        g1 = G.build_interaction_graphs(moved, m, TINY, k=5)
+        assert np.array_equal(g0.dsig_ab, g1.dsig_ab)
+        assert np.array_equal(g0.dsig_ba, g1.dsig_ba)
 
     def test_single_person_translation_changes_distances(self):
         rng = np.random.default_rng(9)
@@ -121,7 +158,34 @@ class TestGraphInvariants:
         g1 = G.build_interaction_graphs(moved, m, TINY, k=5)
         assert np.abs(g1.A_ab - g0.A_ab).max() > 1.0
 
+    def test_direction_asymmetry(self):
+        # crafted so row-wise and column-wise nearest neighbors differ
+        A = np.array([[0.1, 0.2, 5.0],
+                      [4.0, 0.3, 0.4],
+                      [0.15, 6.0, 0.5]])
+        row_knn = G.knn_threshold(A, 1)
+        col_knn = G.knn_threshold(A.T, 1)
+        assert not np.array_equal(row_knn, col_knn.T)
+
+    def test_row_sums_at_least_k(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            A = rng.uniform(size=(12, 12))
+            dsig = G.knn_threshold(A, 4)
+            assert (dsig.sum(axis=1) >= 4).all()
+            # distinct distances -> exactly k
+            assert (dsig.sum(axis=1) == 4).all()
+
+
 class TestSidecar:
+    def test_round_trip(self):
+        rng = np.random.default_rng(12)
+        g = G.build_interaction_graphs(random_sample(rng), builtin_part_map(15), TINY, k=5)
+        m, k, ab, ba = G.read_sidecar(G.write_sidecar(g))
+        assert (m, k) == (g.M, 5)
+        assert np.array_equal(ab, g.dsig_ab)
+        assert np.array_equal(ba, g.dsig_ba)
+
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             G.read_sidecar(b"WHAT" + b"\x00" * 16)

@@ -1,7 +1,6 @@
 """Model assembly: SE layer, interaction blocks, end-to-end forward, init,
-checkpoints, and cross-person information flow. Person-swap symmetry, forward
-determinism and the end-to-end gradient check are verify battery checks
-(`model.*`)."""
+checkpoints, and cross-person information flow. Person-swap symmetry and the
+end-to-end gradient check are verify battery checks (`model.*`)."""
 
 import math
 
@@ -90,6 +89,17 @@ class TestItb:
         out_m2, _ = M.itb_forward(h_m, h_n2, graphs, model.itbs[0], cfg, 5, cfg.spm.L)
         assert np.array_equal(out_m.data, out_m2.data)
 
+    def test_full_mode_cross_sensitivity(self):
+        rng = np.random.default_rng(4)
+        cfg = tiny_cfg(mode="full")
+        model = M.init_params(cfg, seed=1)
+        sample, graphs, _ = sample_with_graphs(rng, cfg)
+        h_m = model.tokenize(sample.person_a).tokens
+        h_n = T.Tensor(model.tokenize(sample.person_b).tokens.data, requires_grad=True)
+        out_m, _ = M.itb_forward(h_m, h_n, graphs, model.itbs[0], cfg, 5, cfg.spm.L)
+        out_m.sum().backward()
+        assert h_n.grad is not None and np.abs(h_n.grad).max() > 0
+
     def test_no_gimsa_zero_cross_gradient(self):
         rng = np.random.default_rng(5)
         cfg = tiny_cfg(mode="no_gimsa")
@@ -163,6 +173,15 @@ class TestForward:
         assert np.array_equal(graphs.dsig_ab, graphs2.dsig_ab)
         assert not np.array_equal(model.forward(sample, graphs).data,
                                   model.forward(moved, graphs2).data)
+
+    def test_forward_deterministic(self):
+        rng = np.random.default_rng(12)
+        cfg = tiny_cfg()
+        model = M.init_params(cfg, seed=7)
+        sample, graphs, _ = sample_with_graphs(rng, cfg)
+        a = model.forward(sample, graphs)
+        b = model.forward(sample, graphs)
+        assert np.array_equal(a.data, b.data)
 
     def test_label_range_checked(self):
         rng = np.random.default_rng(13)

@@ -208,6 +208,18 @@ class TestCanonicalFormat:
         b = sk.SkeletonSequence(rng.normal(size=(6, 15, 3)), person_index=1)
         return sk.InteractionSample(a, b, label=2, source_id="fixture-01")
 
+    def test_round_trip_bit_exact(self):
+        s = self.sample()
+        out = sk.read_canonical(sk.write_canonical(s))
+        assert np.array_equal(out.person_a.coords, s.person_a.coords)
+        assert np.array_equal(out.person_b.coords, s.person_b.coords)
+        assert out.label == s.label
+        assert out.source_id == s.source_id
+
+    def test_double_round_trip(self):
+        blob = sk.write_canonical(self.sample())
+        assert sk.write_canonical(sk.read_canonical(blob)) == blob
+
     def test_bad_magic(self):
         with pytest.raises(ParseError):
             sk.read_canonical(b"NOPE" + b"\x00" * 64)

@@ -28,6 +28,15 @@ def matmul_oracle(a, b):
 
 
 class TestMatmul:
+    def test_identity(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(a))
+        assert np.array_equal(out.data, a)
+
+    def test_zero_annihilation(self):
+        out = T.matmul(T.Tensor(np.eye(2)), T.Tensor(np.zeros((2, 2))))
+        assert np.array_equal(out.data, np.zeros((2, 2)))
+
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
@@ -54,6 +63,13 @@ class TestSoftmaxRows:
         out = T.softmax_rows(T.Tensor([[1000.0, 0.0]]))
         assert np.isfinite(out.data).all()
         assert out.data[0, 0] > 0.999999
+
+    def test_rows_sum_to_one_at_large_magnitude(self):
+        rng = np.random.default_rng(1)
+        x = rng.uniform(-1e4, 1e4, size=(20, 7))
+        out = T.softmax_rows(T.Tensor(x))
+        assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-6
+        assert (out.data >= 0).all()
 
     def test_nan_input_rejected(self):
         with pytest.raises(NumericError):
@@ -91,6 +107,13 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=1, padding=0)
         assert out.data.shape == (1, 3)
 
+    def test_default_geometry_gives_25_steps(self):
+        assert T.conv_steps(256, 16, 10, 2) == 25
+        x = np.zeros((256, 16, 3))
+        k = np.zeros((4, 16, 16, 3))
+        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=10, padding=2)
+        assert out.data.shape == (25, 4)
+
     def test_hand_unrolled_window_sums(self):
         # all-ones 4x2 input, all-ones 1x2x2 kernel: three windows of sum 4
         x = np.ones((4, 2))
@@ -98,6 +121,25 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), bias=T.Tensor(np.zeros(1)),
                        stride=1, padding=0)
         assert np.array_equal(out.data, np.array([[4.0], [4.0], [4.0]]))
+
+    def test_step_count_formula_matches_windows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            t = int(rng.integers(4, 40))
+            p = int(rng.integers(1, min(t, 9) + 1))
+            stride = int(rng.integers(1, 6))
+            padding = int(rng.integers(0, 4))
+            want = T.conv_steps(t, p, stride, padding)
+            if want < 1:
+                continue
+            x = rng.normal(size=(t, p))
+            k = rng.normal(size=(2, p, p))
+            out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=padding)
+            # enumerate the windows directly on the padded sequence
+            xpad = np.pad(x, ((padding, padding), (0, 0)))
+            count = sum(1 for j in range(xpad.shape[0])
+                        if j % stride == 0 and j + p <= xpad.shape[0])
+            assert out.data.shape[0] == want == count
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -115,6 +157,12 @@ class TestResize:
         x = np.array([0.0, 1.0, 2.0]).reshape(1, 3, 1)
         out = T.linear_interp_resize(T.Tensor(x), 5)
         assert np.allclose(out.data[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-15)
+
+    def test_identity_when_sizes_match(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 4, 3))
+        out = T.linear_interp_resize(T.Tensor(x), 4)
+        assert np.array_equal(out.data, x)
 
     def test_single_joint_broadcasts(self):
         x = np.array([7.0]).reshape(1, 1, 1)
