@@ -88,7 +88,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run the gradient/oracle/invariant battery")
     common(p)
     p.add_argument("--corrupt-op", dest="corrupt_op",
-                   help="negative control: corrupt one op's backward pass")
+                   help="negative control: corrupt one op's backward pass and run "
+                        "only its gradient check")
     return parser
 
 
@@ -185,6 +186,13 @@ def _infer_label(path, fmt, root):
     raise ParseError(f"{path} lies in no class directory 01..08 below {root}")
 
 
+def _sample_name(path, root):
+    """Output name of an input file: its path below `root` (the --input
+    directory) without the suffix, directories joined by "_". Every SBU
+    file is called skeleton_pos.txt, so the file stem alone is not unique."""
+    return "_".join(path.relative_to(root).with_suffix("").parts)
+
+
 def _write_sample(out, stem, sample, cfg):
     padded = skel.pad_sample(sample, cfg.spm.T)
     part_map = skel.builtin_part_map(padded.person_a.J)
@@ -215,16 +223,20 @@ def cmd_prepare(args):
         files = sorted(Path(args.input).rglob(pattern))
         if not files:
             raise ConfigError(f"no {pattern} files under {args.input}")
+        taken = set()
         for path in files:
             try:
                 label = _infer_label(path, args.format, args.input)
+                name = _sample_name(path, args.input)
+                if name in taken:
+                    raise ConfigError(f"output name {name!r} is taken by an earlier input")
                 if args.format == "ntu":
                     bodies, _ = skel.parse_ntu(path.read_bytes())
-                    sample = skel.ntu_to_sample(bodies, label=label, source_id=path.stem)
+                    sample = skel.ntu_to_sample(bodies, label=label, source_id=name)
                 else:
-                    sample = skel.parse_sbu(path.read_bytes(), label=label,
-                                            source_id=path.stem)
-                _write_sample(out, path.stem, sample, cfg)
+                    sample = skel.parse_sbu(path.read_bytes(), label=label, source_id=name)
+                _write_sample(out, name, sample, cfg)
+                taken.add(name)
                 written += 1
             except (ParseError, ConfigError, OSError) as exc:
                 failures += 1
@@ -309,7 +321,8 @@ def cmd_train(args):
 
 def _load_model(checkpoint_path, cfg, part_map):
     """The checkpoint's model, built from its arrays alone (no random init)."""
-    digest, params = mmod.load_checkpoint(Path(checkpoint_path).read_bytes())
+    with open(checkpoint_path, "rb") as fh:
+        digest, params = mmod.load_checkpoint(fh)
     want = cfgmod.architecture_digest(cfg)
     if digest != want:
         raise ConfigError(f"checkpoint digest {digest} does not match the "

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ParseError, unpack
-from .spm import time_major_permutation
 
 SIDECAR_MAGIC = b"IGFD"
 
@@ -52,18 +51,31 @@ class InteractionGraphs:
         return InteractionGraphs(self.A_ba, self.A_ab, self.dsig_ba, self.dsig_ab, self.k)
 
 
+def _padded_mean(values, index, counts):
+    """Means of `values` rows gathered by `index` (groups, width) along axis 0,
+    where group g uses its first counts[g] columns. Short groups point their
+    spare columns at an appended -0.0 row, which adds nothing to any sum
+    (x + -0.0 == x, signed zeros included), so each group's sum runs over
+    its own rows in order, as a loop would, before the division."""
+    padded = np.concatenate([values, np.full((1, *values.shape[1:]), -0.0)])
+    sums = padded[index].sum(axis=1)
+    return sums / counts.reshape(-1, *[1] * (sums.ndim - 1))
+
+
 def part_centroids(seq, part_map):
-    """Per-frame arithmetic mean of each part's joint coordinates: B arrays (T, 3)."""
-    out = []
-    for (name, _), idx in zip(part_map.parts, part_map.indices()):
-        if idx.size == 0:
-            raise ConfigError(f"part {name!r} has no joints")
-        out.append(seq.coords[:, idx, :].mean(axis=1))
-    return out
+    """Per-frame arithmetic mean of each part's joint coordinates, (B, T, 3)."""
+    idx = part_map.indices()
+    counts = np.array([i.size for i in idx])
+    index = np.full((len(idx), counts.max()), seq.J, dtype=np.intp)
+    for row, i in zip(index, idx):
+        row[:i.size] = i
+    joints_first = seq.coords.swapaxes(0, 1)  # (J, T, 3)
+    return _padded_mean(joints_first, index, counts)
 
 
 def downsample_to_steps(traj, cfg):
-    """Average a (T, 3) trajectory over the tokenizer's conv windows -> (L, 3).
+    """Average a trajectory over the tokenizer's conv windows along axis 0:
+    (T, ...) -> (L, ...).
 
     Window j covers padded frames [j*stride, j*stride + P); only in-range
     original frames contribute (clipped windows, no zero frames).
@@ -71,21 +83,20 @@ def downsample_to_steps(traj, cfg):
     t = traj.shape[0]
     if t != cfg.T:
         raise ConfigError(f"trajectory has {t} frames, config expects {cfg.T}")
-    steps = np.empty((cfg.L, traj.shape[1]))
-    for j in range(cfg.L):
-        lo = max(0, j * cfg.stride - cfg.padding)
-        hi = min(t, j * cfg.stride - cfg.padding + cfg.P)
-        if hi <= lo:
-            raise ConfigError(f"window {j} falls entirely outside the sequence")
-        steps[j] = traj[lo:hi].mean(axis=0)
-    return steps
+    start = np.arange(cfg.L) * cfg.stride - cfg.padding
+    lo, hi = np.maximum(start, 0), np.minimum(start + cfg.P, t)
+    empty = np.flatnonzero(hi <= lo)
+    if empty.size:
+        raise ConfigError(f"window {empty[0]} falls entirely outside the sequence")
+    frames = lo[:, None] + np.arange(cfg.P)
+    index = np.where(frames < hi[:, None], frames, t)  # (L, P)
+    return _padded_mean(traj, index, hi - lo)
 
 
 def token_trajectory(seq, part_map, cfg):
     """(M, 3) centroid-per-token matrix in time-major token order."""
-    centroids = part_centroids(seq, part_map)
-    per_part = np.concatenate([downsample_to_steps(c, cfg) for c in centroids])
-    return per_part[time_major_permutation(part_map.B, cfg.L)]
+    frames_first = part_centroids(seq, part_map).swapaxes(0, 1)  # (T, B, 3)
+    return downsample_to_steps(frames_first, cfg).reshape(-1, 3)
 
 
 def pairwise_distance(tokens_a, tokens_b):

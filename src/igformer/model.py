@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import MODES, GiMsaParams, gi_msa
-from .errors import ConfigError, ParseError, ShapeError, decode_utf8, need, unpack
+from .errors import ConfigError, ParseError, ShapeError, decode_utf8
 from .graphs import DistanceGraphConfig
 from .skeleton import builtin_part_map
 from .spm import SpmConfig, add_positional, spm_forward
@@ -420,40 +420,53 @@ def save_checkpoint(model, digest):
     return buf.getvalue()
 
 
-def load_checkpoint(data):
-    """Returns (digest, {name: array}); ParseError for bytes that do not
-    follow the layout, truncated ones included."""
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    off = 4
-    (dlen,) = unpack("<I", data, off, "digest length")
-    off += 4
-    need(data, off, dlen, "digest")
-    digest = decode_utf8(data[off:off + dlen], "digest")
-    off += dlen
-    (count,) = unpack("<I", data, off, "parameter count")
-    off += 4
+def load_checkpoint(fh):
+    """Returns (digest, {name: array}) read from the binary file object `fh`
+    (wrap bytes in io.BytesIO). Each array is read straight into its own
+    buffer, so the file is never held whole. ParseError for input that
+    does not follow the layout, truncated input included; every length is
+    checked against the bytes left before anything is read or allocated."""
+    start = fh.tell()
+    size = fh.seek(0, io.SEEK_END) - start
+    fh.seek(start)
+    off = 0
+
+    def claim(n, what):
+        """Advance past the next n bytes; ParseError when the file ends before them."""
+        nonlocal off
+        if off + n > size:
+            raise ParseError(f"file ends inside {what}: {n} bytes needed at offset "
+                             f"{off}, {size} bytes in file")
+        off += n
+
+    def read(n, what):
+        claim(n, what)
+        return fh.read(n)
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, read(struct.calcsize(fmt), what))
+
+    magic = read(min(4, size), "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise ParseError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+    (dlen,) = unpack("<I", "digest length")
+    digest = decode_utf8(read(dlen, "digest"), "digest")
+    (count,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(count):
-        (nlen,) = unpack("<I", data, off, "parameter name length")
-        off += 4
-        need(data, off, nlen, "parameter name")
-        name = decode_utf8(data[off:off + nlen], "parameter name")
-        off += nlen
+        (nlen,) = unpack("<I", "parameter name length")
+        name = decode_utf8(read(nlen, "parameter name"), "parameter name")
         if name in params:
             raise ParseError(f"parameter {name!r} appears twice")
-        (rank,) = unpack("<I", data, off, f"{name} rank")
-        off += 4
+        (rank,) = unpack("<I", f"{name} rank")
         if rank > MAX_RANK:
             raise ParseError(f"{name} has rank {rank}, more than {MAX_RANK}")
-        need(data, off, 4 * rank, f"{name} shape")
-        shape = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        n = math.prod(shape)
-        need(data, off, 8 * n, f"{name} data")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        params[name] = arr.copy()
-    if off != len(data):
-        raise ParseError(f"{len(data) - off} trailing bytes in checkpoint")
+        shape = unpack(f"<{rank}I", f"{name} shape")
+        claim(8 * math.prod(shape), f"{name} data")
+        arr = np.empty(shape, dtype="<f8")
+        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+            raise ParseError(f"file shrank while reading {name} data")
+        params[name] = arr
+    if off != size:
+        raise ParseError(f"{size - off} trailing bytes in checkpoint")
     return digest, params

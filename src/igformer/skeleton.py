@@ -12,7 +12,9 @@ from __future__ import annotations
 import io
 import logging
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -158,32 +160,97 @@ def add_joint_noise(seq, sigma_m, rng_seed=0):
 
 # -- NTU .skeleton text layout ------------------------------------------------
 
-class _Lines:
+NTU_JOINTS = 25
+# A joint line: x, y, z and nine more whitespace-separated fields. loadtxt
+# rejects a line with any other field count; the nine are stored in zero
+# bytes each, so the "xyz" field of a parsed table is a plain (n, 3) array.
+_JOINT_LINE = np.dtype([("xyz", "<f8", (3,))] + [("", "S0")] * 9)
+
+
+class _Rows:
+    """The non-blank lines of a text file, with their 1-based line numbers."""
+
     def __init__(self, data):
         if isinstance(data, bytes):
             data = decode_utf8(data, "skeleton file")
         self._lines = data.splitlines()
-        self._pos = 0
+        self.rows = list(filter(str.strip, self._lines))
 
-    @property
-    def lineno(self):
-        return self._pos
+    def at(self, row, what):
+        """Row `row`; ParseError when the file ends before it."""
+        if row >= len(self.rows):
+            raise ParseError(f"unexpected end of file while reading {what}",
+                             line=len(self._lines))
+        return self.rows[row]
 
-    def next(self, what):
-        while self._pos < len(self._lines):
-            line = self._lines[self._pos]
-            self._pos += 1
-            if line.strip():
-                return line
-        raise ParseError(f"unexpected end of file while reading {what}", line=self._pos)
+    def error(self, message, row):
+        """ParseError naming the line that holds row `row`."""
+        if len(self.rows) == len(self._lines):
+            return ParseError(message, line=row + 1)
+        numbers = [n for n, line in enumerate(self._lines, 1) if line.strip()]
+        return ParseError(message, line=numbers[row])
 
-    def next_int(self, what):
-        line = self.next(what)
+    def integer(self, row, what):
+        line = self.at(row, what)
         try:
             return int(line.split()[0])
         except ValueError:
-            raise ParseError(f"expected integer {what}, got {line.strip()!r}",
-                             line=self.lineno) from None
+            raise self.error(f"expected integer {what}, got {line.strip()!r}", row) from None
+
+
+def _joint_blocks(rows, blocks):
+    """Walk the header lines only, appending (frame, body id, first joint
+    row) of each body to `blocks`; returns the frame count. A body's joint
+    lines are the 25 rows after its joint-count line."""
+    frame_count = rows.integer(0, "frame count")
+    if frame_count < 1:
+        raise rows.error(f"frame count must be >= 1, got {frame_count}", 0)
+    r = 1
+    for f in range(frame_count):
+        body_count = rows.integer(r, "body count")
+        r += 1
+        for _ in range(body_count):
+            meta = rows.at(r, "body metadata").split()
+            if len(meta) != 10:
+                raise rows.error(f"body metadata needs 10 values, got {len(meta)}", r)
+            joint_count = rows.integer(r + 1, "joint count")
+            if joint_count != NTU_JOINTS:
+                raise rows.error(f"joint count must be 25, got {joint_count}", r + 1)
+            r += 2
+            blocks.append((f, meta[0], r))
+            r += NTU_JOINTS
+            rows.at(r - 1, "joint line")
+    return frame_count
+
+
+def _joint_xyz(rows, blocks):
+    """(number of joint rows, 3) x/y/z of the blocks' joint rows that the file
+    holds, in one C-level pass that also checks every row's field count.
+    When that pass rejects a row, the rows are read again one token at a
+    time with `float()`, which names the first bad line, or converts what
+    `float()` accepts and loadtxt does not (digit-group underscores,
+    non-ASCII digits)."""
+    starts = [r for _, _, r in blocks]
+    lines = list(chain.from_iterable(rows.rows[r:r + NTU_JOINTS] for r in starts))
+    if not lines:
+        return np.empty((0, 3))
+    try:
+        table = np.loadtxt(lines, dtype=_JOINT_LINE, comments=None, ndmin=1)
+    except ValueError:
+        pass
+    else:
+        return table["xyz"]
+    xyz = []
+    for start in starts:
+        for r, line in enumerate(rows.rows[start:start + NTU_JOINTS], start):
+            vals = line.split()
+            if len(vals) != 12:
+                raise rows.error(f"joint line needs 12 values, got {len(vals)}", r)
+            try:
+                xyz.append([float(v) for v in vals[:3]])
+            except ValueError as exc:
+                raise rows.error(f"non-numeric coordinate: {exc}", r) from None
+    return np.array(xyz)
 
 
 def parse_ntu(data):
@@ -192,50 +259,34 @@ def parse_ntu(data):
     Layout: frame count; per frame a body count; per body one 10-value
     metadata line (first value is the body ID), a joint-count line that
     must read 25, and 25 joint lines whose first three values are x, y, z
-    in meters. Returns (list of SkeletonSequence, frame_count); bodies
-    absent from a frame keep zero coordinates there. When more than two
-    bodies appear, the two with the longest presence are kept (ties break
-    toward the smaller body ID).
+    in meters. Blank lines are skipped anywhere. Returns (list of
+    SkeletonSequence, frame_count); bodies absent from a frame keep zero
+    coordinates there. When more than two bodies appear, the two with the
+    longest presence are kept (ties break toward the smaller body ID).
+
+    Every joint line is checked and converted, dropped bodies' included.
+    A ParseError names the first bad line of the file.
     """
-    lines = _Lines(data)
-    frame_count = lines.next_int("frame count")
-    if frame_count < 1:
-        raise ParseError(f"frame count must be >= 1, got {frame_count}", line=lines.lineno)
-    coords = {}    # body id -> (T, 25, 3)
-    presence = {}  # body id -> frames present
-    first_seen = {}
-    for f in range(frame_count):
-        body_count = lines.next_int("body count")
-        for _ in range(body_count):
-            meta = lines.next("body metadata").split()
-            if len(meta) != 10:
-                raise ParseError(f"body metadata needs 10 values, got {len(meta)}",
-                                 line=lines.lineno)
-            body_id = meta[0]
-            joint_count = lines.next_int("joint count")
-            if joint_count != 25:
-                raise ParseError(f"joint count must be 25, got {joint_count}",
-                                 line=lines.lineno)
-            if body_id not in coords:
-                coords[body_id] = np.zeros((frame_count, 25, 3))
-                presence[body_id] = 0
-                first_seen[body_id] = len(first_seen)
-            presence[body_id] += 1
-            for j in range(25):
-                vals = lines.next("joint line").split()
-                if len(vals) != 12:
-                    raise ParseError(f"joint line needs 12 values, got {len(vals)}",
-                                     line=lines.lineno)
-                try:
-                    coords[body_id][f, j] = [float(v) for v in vals[:3]]
-                except ValueError as exc:
-                    raise ParseError(f"non-numeric coordinate: {exc}",
-                                     line=lines.lineno) from None
-    if not coords:
+    rows = _Rows(data)
+    blocks = []
+    try:
+        frame_count = _joint_blocks(rows, blocks)
+    except ParseError:
+        _joint_xyz(rows, blocks)  # joint lines before a bad header line come first
+        raise
+    if not blocks:
         raise ParseError("file contains no bodies")
-    ranked = sorted(coords, key=lambda b: (-presence[b], b))[:2]
-    ranked.sort(key=lambda b: first_seen[b])
-    bodies = [SkeletonSequence(coords[b], person_index=i) for i, b in enumerate(ranked)]
+    xyz = _joint_xyz(rows, blocks).reshape(len(blocks), NTU_JOINTS, 3)
+    presence = Counter(body_id for _, body_id, _ in blocks)  # in first-seen order
+    ranked = sorted(presence, key=lambda b: (-presence[b], b))[:2]
+    ranked.sort(key=list(presence).index)
+    bodies = []
+    for i, body_id in enumerate(ranked):
+        # frame -> block; a body listed twice in one frame keeps its later joints
+        last = {f: n for n, (f, b, _) in enumerate(blocks) if b == body_id}
+        coords = np.zeros((frame_count, NTU_JOINTS, 3))
+        coords[list(last)] = xyz[list(last.values())]
+        bodies.append(SkeletonSequence(coords, person_index=i))
     return bodies, frame_count
 
 

@@ -5,8 +5,9 @@ carries a stable identifier so failures name what broke. This module is the
 one implementation of each oracle and invariant; the test suite runs every
 check as its own test, and the acceptance criteria call the same checks.
 
-`corrupt_op` deliberately mis-scales one op's backward pass; the battery must
-then fail on that op's gradient check (negative control for the harness).
+`corrupt_op` deliberately mis-scales one op's backward pass and runs only
+that op's gradient check, which must then fail (negative control for the
+harness).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import zlib
 import numpy as np
 
 from . import tensor as T
+from .errors import ConfigError
 from .attention import GiMsaParams, fuse_graphs, gi_msa, sdig
 from .gradcheck import check_gradients
 from .graphs import (DistanceGraphConfig, InteractionGraphs, build_interaction_graphs,
@@ -506,11 +508,14 @@ def _corrupting(op_name):
 
 
 def run_checks(corrupt_op=None, log_fn=None):
-    """Run the whole battery; returns (all_passed, [(id, passed, detail)])."""
+    """Run the whole battery, or with `corrupt_op` only that op's gradient
+    check; returns (all_passed, [(id, passed, detail)])."""
     entries = checks()
-    if corrupt_op is not None and not any(
-            name == f"tensor.gradcheck.{corrupt_op}" for name, _ in entries):
-        raise ValueError(f"no gradient check named {corrupt_op!r}")
+    if corrupt_op is not None:
+        entries = [(name, fn) for name, fn in entries
+                   if name == f"tensor.gradcheck.{corrupt_op}"]
+        if not entries:
+            raise ConfigError(f"no gradient check named {corrupt_op!r}")
     original = None
     if corrupt_op is not None:
         original, wrapper = _corrupting(corrupt_op)

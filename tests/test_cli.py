@@ -64,6 +64,39 @@ class TestPrepare:
         labels = {read_canonical(p.read_bytes()).label for p in out.glob("*.igf")}
         assert labels == {49, 50}  # parsed from the Axxx filename field
 
+    def test_sbu_files_of_one_name_stay_apart(self, tmp_path, cfg_path):
+        raw = tmp_path / "raw"
+        for c in range(3):
+            rows = "\n".join("%d,%s" % (f + 1, ",".join([str(0.1 * c)] * 90)) for f in range(4))
+            (raw / "s01s02" / f"{c + 1:02d}" / "001").mkdir(parents=True)
+            (raw / "s01s02" / f"{c + 1:02d}" / "001" / "skeleton_pos.txt").write_text(rows)
+        out = tmp_path / "out"
+        assert run("prepare", "--format", "sbu", "--input", str(raw),
+                   "--config", cfg_path, "--out", str(out)) == 0
+        from igformer.skeleton import read_canonical
+        written = {p.name: read_canonical(p.read_bytes()) for p in sorted(out.glob("*.igf"))}
+        assert {name: s.label for name, s in written.items()} == {
+            f"s01s02_{c + 1:02d}_001_skeleton_pos.igf": c for c in range(3)}
+        assert [s.source_id for s in written.values()] == [
+            f"s01s02_{c + 1:02d}_001_skeleton_pos" for c in range(3)]
+        assert len(list(out.glob("*.igfd"))) == 3
+
+    def test_inputs_of_one_output_name_do_not_overwrite(self, tmp_path, cfg_path, caplog):
+        import sys
+        sys.path.insert(0, str(Path(__file__).parent))
+        from test_skeleton import body_joints, ntu_fixture
+        text = ntu_fixture([{1: body_joints(0.1), 2: body_joints(1.0)}] * 2)
+        raw = tmp_path / "raw"
+        for where in ("a_b/S001C001P001R001A001.skeleton", "a/b_S001C001P001R001A001.skeleton"):
+            (raw / where).parent.mkdir(parents=True, exist_ok=True)
+            (raw / where).write_text(text)
+        out = tmp_path / "out"
+        with caplog.at_level("WARNING", logger="igformer"):
+            assert run("prepare", "--format", "ntu", "--input", str(raw),
+                       "--config", cfg_path, "--out", str(out)) == 0
+        assert [p.name for p in out.glob("*.igf")] == ["a_b_S001C001P001R001A001.igf"]
+        assert "is taken by an earlier input" in caplog.text
+
     def test_bad_flag_exits_one(self):
         assert run("prepare", "--format", "bogus", "--out", "/tmp/x") == 1
 
@@ -258,6 +291,11 @@ class TestVerifyCommand:
         assert "[FAIL] tensor.gradcheck.gelu" in text
         report = (out / "report.txt").read_text()
         assert "[FAIL] tensor.gradcheck.gelu" in report
+        # the negative control runs the corrupted op's gradient check alone
+        assert report.splitlines() == [report.splitlines()[0], "0/1 checks passed"]
+
+    def test_unknown_corrupt_op_is_user_error(self, tmp_path):
+        assert run("verify", "--corrupt-op", "bogus", "--out", str(tmp_path / "v")) == 1
 
 
 class TestSidecarReuse:

@@ -11,6 +11,7 @@ from igformer import graphs as G
 from igformer.errors import ConfigError, ParseError
 from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_map
 from igformer.spm import SpmConfig
+from igformer.verify import _brute_force_dsig
 
 
 def random_sample(rng, t=40, j=15):
@@ -175,6 +176,19 @@ class TestGraphInvariants:
             assert (dsig.sum(axis=1) >= 4).all()
             # distinct distances -> exactly k
             assert (dsig.sum(axis=1) == 4).all()
+
+
+def test_reference_geometry_matches_brute_force_oracle():
+    cfg = SpmConfig(P=16, stride=10, padding=2, D=2, T=256)
+    part_map = builtin_part_map(25)
+    s = random_sample(np.random.default_rng(14), t=256, j=25)
+    g = G.build_interaction_graphs(s, part_map, cfg, k=15)
+    a, b = s.person_a.coords, s.person_b.coords
+    dist_ab, dsig_ab = _brute_force_dsig(a, b, part_map, cfg, 15)
+    dist_ba, dsig_ba = _brute_force_dsig(b, a, part_map, cfg, 15)
+    assert g.M == 125
+    assert np.array_equal(g.A_ab, dist_ab) and np.array_equal(g.A_ba, dist_ba)
+    assert np.array_equal(g.dsig_ab, dsig_ab) and np.array_equal(g.dsig_ba, dsig_ba)
 
 
 class TestSidecar:

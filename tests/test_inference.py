@@ -2,6 +2,7 @@
 that record no autodiff tape."""
 
 import hashlib
+import io
 import re
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
 def test_load_model_registry_equals_checkpoint(tmp_path, variant):
     cfg = full_config(tiny_cfg(**VARIANTS[variant]))
     path, blob = write_checkpoint(tmp_path, cfg)
-    _, arrays = M.load_checkpoint(blob)
+    _, arrays = M.load_checkpoint(io.BytesIO(blob))
     model = cli._load_model(path, cfg, builtin_part_map(15))
     registry = model.named_parameters()
     assert list(registry) == list(arrays)
@@ -109,7 +110,7 @@ def test_load_model_registry_equals_checkpoint(tmp_path, variant):
 def test_restored_logits_equal_initialized_ones():
     cfg = tiny_cfg()
     fresh = M.init_params(cfg, seed=4)
-    _, arrays = M.load_checkpoint(M.save_checkpoint(fresh, "d"))
+    _, arrays = M.load_checkpoint(io.BytesIO(M.save_checkpoint(fresh, "d")))
     restored = M.restore_params(cfg, arrays)
     sample, graphs = sample_with_graphs(cfg)
     assert np.array_equal(fresh.forward(sample, graphs).data,
@@ -123,7 +124,7 @@ def test_restored_logits_equal_initialized_ones():
 ])
 def test_restore_rejects_misfit_arrays(edit, message):
     cfg = tiny_cfg()
-    _, arrays = M.load_checkpoint(M.save_checkpoint(M.init_params(cfg, seed=0), "d"))
+    _, arrays = M.load_checkpoint(io.BytesIO(M.save_checkpoint(M.init_params(cfg, seed=0), "d")))
     edit(arrays)
     with pytest.raises(ConfigError, match=re.escape(message)):
         M.restore_params(cfg, arrays)

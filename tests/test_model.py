@@ -2,6 +2,7 @@
 checkpoints, and cross-person information flow. Person-swap symmetry and the
 end-to-end gradient check are verify battery checks (`model.*`)."""
 
+import io
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import igformer.tensor as T
 from igformer import model as M
-from igformer.errors import ConfigError
+from igformer.errors import ConfigError, ParseError
 from igformer.graphs import build_interaction_graphs
 from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_map
 from igformer.spm import SpmConfig
@@ -249,15 +250,30 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         model = M.init_params(cfg, seed=10)
         blob = M.save_checkpoint(model, digest="abc123")
-        digest, params = M.load_checkpoint(blob)
+        digest, params = M.load_checkpoint(io.BytesIO(blob))
         assert digest == "abc123"
         restored = M.restore_params(cfg, params)
         for name, t in model.named_parameters().items():
             assert np.array_equal(t.data, restored.named_parameters()[name].data)
 
+    def test_loads_each_array_into_its_own_buffer_from_an_open_file(self, tmp_path):
+        model = M.init_params(tiny_cfg(), seed=3)
+        path = tmp_path / "model.igfc"
+        path.write_bytes(M.save_checkpoint(model, "d") + b"\0")
+        with open(path, "rb") as fh, pytest.raises(ParseError, match="1 trailing bytes"):
+            M.load_checkpoint(fh)
+        path.write_bytes(M.save_checkpoint(model, "d"))
+        with open(path, "rb") as fh:
+            digest, params = M.load_checkpoint(fh)
+        assert digest == "d"
+        for name, t in model.named_parameters().items():
+            arr = params[name]
+            assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
+            assert arr.tobytes() == t.data.tobytes()
+
     def test_mismatched_structure_rejected(self):
         model = M.init_params(tiny_cfg(), seed=0)
-        _, params = M.load_checkpoint(M.save_checkpoint(model, "x"))
+        _, params = M.load_checkpoint(io.BytesIO(M.save_checkpoint(model, "x")))
         with pytest.raises(ConfigError):
             M.restore_params(tiny_cfg(N=3), params)
 

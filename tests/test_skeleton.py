@@ -50,6 +50,15 @@ class TestParseNtu:
         assert np.allclose(bodies[0].coords[0, 0], [1.0, 1.0, 1.0])
         assert np.allclose(bodies[1].coords[0, 0], [2.0, 2.0, 2.0])
 
+    def test_body_listed_twice_in_a_frame_keeps_later_joints(self):
+        lines = ntu_fixture([{1: body_joints(1.0), 2: body_joints(2.0)}]).split("\n")
+        lines[1] = "3"
+        lines[56:56] = lines[2:29]
+        lines[58:83] = [line.replace("1.000000", "5.000000") for line in lines[58:83]]
+        bodies, _ = sk.parse_ntu("\n".join(lines))
+        assert np.array_equal(bodies[0].coords, np.full((1, 25, 3), 5.0))
+        assert np.array_equal(bodies[1].coords, np.full((1, 25, 3), 2.0))
+
     def test_absent_frames_zero_filled(self):
         frames = [{1: body_joints(1.0)}, {1: body_joints(1.0), 2: body_joints(2.0)}]
         bodies, _ = sk.parse_ntu(ntu_fixture(frames))
@@ -67,11 +76,80 @@ class TestParseNtu:
         with pytest.raises(ParseError):
             sk.parse_ntu(text)
 
+    def test_file_ending_after_a_joint_count(self):
+        text = "1\n1\n" + " ".join(["7"] * 10) + "\n25\n"
+        with pytest.raises(ParseError, match="^line 4: unexpected end of file while reading joint line"):
+            sk.parse_ntu(text)
+
     def test_truncated_file(self):
         joints = body_joints(0.0)
         text = "\n".join(ntu_fixture([{1: joints}]).splitlines()[:-5])
         with pytest.raises(ParseError):
             sk.parse_ntu(text)
+
+    def three_body_text(self):
+        """Three frames; body 3 (all joints at 3.0) appears in the middle one
+        only, so it is dropped. Returns (text lines, line number of body 3's
+        first joint line)."""
+        a, b, c = body_joints(1.0), body_joints(2.0), body_joints(3.0)
+        lines = ntu_fixture([{1: a, 2: b}, {1: a, 2: b, 3: c}, {1: a, 2: b}]).split("\n")
+        return lines, 1 + next(n for n, line in enumerate(lines) if line.startswith("3.0"))
+
+    def test_short_joint_line_names_its_line(self):
+        lines, first = self.three_body_text()
+        lines[first + 4 - 1] = lines[first + 4 - 1].rsplit(" ", 1)[0]
+        with pytest.raises(ParseError, match=f"^line {first + 4}: joint line needs 12 values, got 11$"):
+            sk.parse_ntu("\n".join(lines))
+
+    def test_non_numeric_x_in_dropped_body_names_its_line(self):
+        lines, first = self.three_body_text()
+        lines[first + 2 - 1] = lines[first + 2 - 1].replace("3.000000", "x3.0", 1)
+        with pytest.raises(ParseError, match=f"^line {first + 2}: non-numeric coordinate"):
+            sk.parse_ntu("\n".join(lines))
+
+    def test_value_starting_with_hash_names_its_line(self):
+        lines, first = self.three_body_text()
+        lines[first - 10] = "#" + lines[first - 10]
+        with pytest.raises(ParseError, match=f"^line {first - 9}: non-numeric coordinate"):
+            sk.parse_ntu("\n".join(lines))
+
+    def test_first_bad_line_wins_over_a_later_header_error(self):
+        lines, first = self.three_body_text()
+        lines[first + 1] += " 9"
+        assert lines[first + 24] == "2"  # the last frame's body count
+        lines[first + 24] = "zz"
+        with pytest.raises(ParseError, match=f"^line {first + 2}: joint line needs 12"):
+            sk.parse_ntu("\n".join(lines))
+
+    def test_blank_lines_inside_a_joint_block(self):
+        lines, first = self.three_body_text()
+        want, _ = sk.parse_ntu("\n".join(lines))
+        spaced = lines[:first + 5] + ["", "  \t"] + lines[first + 5:]
+        got, _ = sk.parse_ntu("\n".join(spaced))
+        assert [g.coords.tobytes() for g in got] == [w.coords.tobytes() for w in want]
+        # line numbers after the blank lines still count them
+        spaced[first + 9] += " 9"
+        with pytest.raises(ParseError, match=f"^line {first + 10}: joint line needs 12"):
+            sk.parse_ntu("\n".join(spaced))
+
+    def test_coordinates_bit_identical_to_float(self):
+        rng = np.random.default_rng(21)
+        formats = (repr, "{:.6f}".format, "{:.3e}".format, "{:.17g}".format, "{:+.0E}".format)
+        frames = 7
+        tokens = rng.normal(scale=rng.choice([1e-5, 1.0, 1e3], size=(frames, 2, 25, 3)))
+        tokens = np.vectorize(lambda v, i: formats[i](v), otypes=[object])(
+            tokens, rng.integers(len(formats), size=tokens.shape))
+        out = [str(frames)]
+        for f in range(frames):
+            out.append("2")
+            for body in range(2):
+                out += [f"{body + 7} 0 1 1 1 1 0 0.01 -0.02 2", "25"]
+                out += [" ".join(xyz) + " 0.5 0.5 960.0 540.0 0.9 0.0 0.4 0.0 2"
+                        for xyz in tokens[f, body]]
+        bodies, _ = sk.parse_ntu("\n".join(out) + "\n")
+        want = np.vectorize(float, otypes=[np.float64])(tokens)
+        for body in range(2):
+            assert bodies[body].coords.tobytes() == want[:, body].tobytes()
 
     def test_single_body_duplicated_with_warning(self, caplog):
         bodies, _ = sk.parse_ntu(ntu_fixture([{1: body_joints(0.5)}]))
