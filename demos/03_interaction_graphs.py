@@ -13,7 +13,7 @@ from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_
 from igformer.spm import SpmConfig
 from igformer.training import SynthSpec, synth_generate
 
-cfg = SpmConfig(P=8, stride=8, padding=0, D=16, T=64)
+cfg = SpmConfig(P=8, stride=8, padding=0, T=64)
 part_map = builtin_part_map(15)
 
 sample = pad_sample(synth_generate(SynthSpec(class_id=0, T=64, seed=3, noise=0.0)), 64)

@@ -13,7 +13,7 @@ from igformer.spm import SpmConfig
 from igformer.training import (TrainConfig, evaluate, make_synth_dataset,
                                prepare_dataset, train)
 
-spm = SpmConfig(P=8, stride=8, padding=0, D=24, T=64)
+spm = SpmConfig(P=8, stride=8, padding=0, T=64)
 cfg = ModelConfig(num_classes=4, D=24, h=4, N=1, spm=spm,
                   dsig=DistanceGraphConfig(k=8))
 part_map = builtin_part_map(15)

@@ -1,8 +1,9 @@
 """Command-line interface: prepare, train, eval, inspect-graph, verify.
 
 Every command takes --out, honors --seed, and writes a RunManifest (JSON with
-every config value materialized) into the output directory before any compute,
-so a finished run can be replayed bit-identically with --from-manifest.
+the effective command line and every config value materialized) into the
+output directory before any compute, so a finished run can be replayed
+bit-identically with --from-manifest.
 
 Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 Set IGFORMER_LOG=debug|info|warning to control log verbosity.
@@ -45,19 +46,22 @@ def build_parser():
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="INI config file (defaults reproduce the reference setup)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--from-manifest", dest="from_manifest",
-                       help="replay config/seed/inputs from a previous run's manifest")
+        p.add_argument("--from-manifest", help="replay a previous run's manifest")
 
     p = sub.add_parser("prepare", help="convert raw inputs to canonical samples + graph sidecars")
     common(p)
     p.add_argument("--format", required=True, choices=FORMATS)
     p.add_argument("--input", help="input directory (ntu/sbu)")
-    p.add_argument("--count", type=int, help="synthetic sample count (default 40)")
-    p.add_argument("--classes", type=int, help="synthetic class count, 1..4 (default 4)")
-    p.add_argument("--frames", type=int, help="synthetic clip length (default 64)")
-    p.add_argument("--amplitude", type=float, help="synthetic motion scale (default 1)")
-    p.add_argument("--gen-noise", type=float,
-                   help="generator jitter std in meters (default 0.01)")
+    p.add_argument("--count", type=int, default=40,
+                   help="synthetic sample count (default %(default)s)")
+    p.add_argument("--classes", type=int, default=4,
+                   help="synthetic class count, 1..4 (default %(default)s)")
+    p.add_argument("--frames", type=int, default=64,
+                   help="synthetic clip length (default %(default)s)")
+    p.add_argument("--amplitude", type=float, default=1.0,
+                   help="synthetic motion scale (default %(default)s)")
+    p.add_argument("--gen-noise", type=float, default=0.01,
+                   help="generator jitter std in meters (default %(default)s)")
     p.add_argument("--k", type=int, help="override neighbor count for sidecars")
 
     p = sub.add_parser("train", help="train a model on prepared data")
@@ -65,102 +69,91 @@ def build_parser():
     p.add_argument("--data", required=True, help="directory of prepared samples")
     p.add_argument("--val", help="directory of prepared validation samples")
     p.add_argument("--mode", choices=attention.MODES, help="override model mode")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                   help="train-time joint noise std in meters")
+    p.add_argument("--noise-sigma", type=float, help="train-time joint noise std in meters")
     p.add_argument("--k", type=int, help="override neighbor count")
-    p.add_argument("--itb-layers", dest="itb_layers", type=int,
-                   help="override interaction block depth")
+    p.add_argument("--itb-layers", type=int, help="override interaction block depth")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on prepared data")
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
-                   help="eval-time joint noise std in meters (default 0)")
+    p.add_argument("--noise-sigma", type=float, default=0.0,
+                   help="eval-time joint noise std in meters (default %(default)s)")
 
     p = sub.add_parser("inspect-graph", help="dump A, DSIG, per-head SDIG and fused R as text")
     common(p)
     p.add_argument("--sample", required=True, help="canonical sample file")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--itb", type=int, help="interaction block to inspect (default 0)")
+    p.add_argument("--itb", type=int, default=0,
+                   help="interaction block to inspect (default %(default)s)")
     p.add_argument("--k", type=int, help="override neighbor count")
 
     p = sub.add_parser("verify", help="run the gradient/oracle/invariant battery")
     common(p)
-    p.add_argument("--corrupt-op", dest="corrupt_op",
+    p.add_argument("--corrupt-op",
                    help="negative control: corrupt one op's backward pass and run "
                         "only its gradient check")
     return parser
 
 
-# defaults of the flags whose argparse default is None, so that a replay can
-# tell a flag the command line left out from one it set to the default value
-_DEFAULTS = {
-    "prepare": {"count": 40, "classes": 4, "frames": 64, "amplitude": 1.0, "gen_noise": 0.01},
-    "eval": {"noise_sigma": 0.0},
-    "inspect-graph": {"itb": 0},
-}
+def _read_manifest(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        manifest = {}
+    argv, config = manifest.get("argv"), manifest.get("config")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)
+            and isinstance(config, dict) and all(isinstance(kv, dict) for kv in config.values())):
+        raise ConfigError(f"{path}: not a run manifest (needs an argv list and a config)")
+    return manifest
 
 
-def _load_manifest_overrides(args):
-    """Fill the flags the command line left out: from the manifest named by
-    --from-manifest first, then from `_DEFAULTS`. Explicit flags beat recorded
-    values, and recorded values beat defaults."""
-    if args.from_manifest:
-        with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        text = "\n".join(f"[{section}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items())
-                         for section, kv in manifest["config"].items())
-        args._manifest_config = cfgmod.parse_config(text, path=args.from_manifest)
-        if args.seed is None:
-            args.seed = manifest.get("seed")
-        for key, value in manifest.get("args", {}).items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-    for key, value in _DEFAULTS.get(args.command, {}).items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+def _command_line(args):
+    """The command line that reproduces `args` without --from-manifest: each
+    flag with a value as `--flag=value` (argparse names a flag's destination
+    after the flag, with "_" for "-")."""
+    line = [args.command]
+    for dest, value in sorted(vars(args).items()):
+        if dest not in ("command", "from_manifest") and value is not None:
+            line.append(f"--{dest.replace('_', '-')}={value}")
+    return line
+
+
+# flags that set a config value: flag destination -> (section, key)
+_CONFIG_FLAGS = {"k": ("dsig", "k"), "mode": ("model", "mode"),
+                 "itb_layers": ("model", "N"), "seed": ("train", "seed")}
 
 
 def _resolve_config(args):
-    if getattr(args, "_manifest_config", None) is not None:
-        cfg = args._manifest_config
-    elif args.config:
-        cfg = cfgmod.load_config(args.config)
-    else:
-        cfg = cfgmod.default_config()
-    # flag overrides, kept in the manifest so replays see the same values
-    if getattr(args, "k", None) is not None:
-        cfg.dsig.k = args.k
-    if getattr(args, "mode", None) is not None:
-        cfg.model.mode = args.mode
-    if getattr(args, "itb_layers", None) is not None:
-        cfg.model.N = args.itb_layers
-    if getattr(args, "noise_sigma", None) is not None and args.command == "train":
-        cfg.train.noise_sigma_m = args.noise_sigma
-    if args.seed is not None:
-        cfg.train.seed = args.seed
-    return cfg
+    """The replayed manifest's config, else --config's, else the defaults,
+    with the flags that set config values merged in before validation."""
+    flags = dict(_CONFIG_FLAGS)
+    if args.command == "train":  # eval's --noise-sigma is no training setting
+        flags["noise_sigma"] = ("train", "noise_sigma_m")
+    overrides = {}
+    for dest, (section, key) in flags.items():
+        if getattr(args, dest, None) is not None:
+            overrides.setdefault(section, {})[key] = getattr(args, dest)
+    if args.from_manifest:
+        sections = _read_manifest(args.from_manifest)["config"]
+        text = "\n".join(f"[{section}]\n" + "\n".join(f"{k} = {v}" for k, v in kv.items())
+                         for section, kv in sections.items())
+        return cfgmod.parse_config(text, path=args.from_manifest, overrides=overrides)
+    if args.config:
+        return cfgmod.load_config(args.config, overrides=overrides)
+    return cfgmod.parse_config("", overrides=overrides)
 
 
 def _write_manifest(args, cfg, inputs):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    recorded = {}
-    for key in ("format", "input", "data", "val", "checkpoint", "sample", "count",
-                "classes", "frames", "amplitude", "gen_noise", "mode", "itb_layers",
-                "noise_sigma", "k", "itb", "corrupt_op"):
-        value = getattr(args, key, None)
-        if value is not None:
-            recorded[key] = value
     manifest = {
         "tool_version": cfgmod.TOOL_VERSION,
         "command": args.command,
         "seed": cfg.train.seed,
         "inputs": [str(p) for p in inputs],
         "out_dir": str(out),
-        "args": recorded,
+        "argv": _command_line(args),
         "config": cfgmod.to_sections(cfg),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -206,6 +199,9 @@ def cmd_prepare(args):
     if args.format in ("ntu", "sbu") and not args.input:
         raise ConfigError(f"--input is required for --format {args.format}")
     inputs = [args.input] if args.input else []
+    if any(Path(args.out).glob("*.igf")) and not _sidecars_fit(args.out, cfg):
+        raise ConfigError(f"{args.out} holds samples prepared with other window geometry "
+                          f"or k; prepare into an empty directory")
     out = _write_manifest(args, cfg, inputs)
     written = 0
     failures = 0
@@ -404,9 +400,15 @@ def main(argv=None):
                                       logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        args = _load_manifest_overrides(args)
+        if args.from_manifest:
+            # the recorded command line, then the given one: the last value of
+            # a flag wins, so explicit flags beat recorded values, which beat
+            # the defaults
+            recorded = _read_manifest(args.from_manifest)["argv"]
+            args = parser.parse_args([args.command] + recorded[1:] + argv[1:])
         handler = {"prepare": cmd_prepare, "train": cmd_train, "eval": cmd_eval,
                    "inspect-graph": cmd_inspect_graph, "verify": cmd_verify}[args.command]
         return handler(args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .graphs import DistanceGraphConfig
@@ -23,7 +23,7 @@ TOOL_VERSION = "0.1.0"
 
 @dataclass
 class FullConfig:
-    spm: SpmConfig = field(default_factory=lambda: SpmConfig())
+    spm: SpmConfig = field(default_factory=SpmConfig)
     dsig: DistanceGraphConfig = field(default_factory=DistanceGraphConfig)
     model: ModelConfig = None
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -33,17 +33,14 @@ class FullConfig:
             self.model = ModelConfig(spm=self.spm, dsig=self.dsig)
 
 
-_SCHEMA = {
-    "spm": {"P": int, "stride": int, "padding": int, "T": int,
-            "per_part_conv": bool},
-    "dsig": {"k": int},
-    "model": {"num_classes": int, "D": int, "h": int, "N": int, "ffn_mult": int,
-              "mode": str, "scale_mode": str, "dropout": float,
-              "tie_person_branches": bool},
-    "train": {"lr": float, "momentum": float, "milestones": "int_list",
-              "lr_decay": float, "epochs": int, "batch_size": int, "seed": int,
-              "noise_sigma_m": float},
-}
+SECTIONS = {"spm": SpmConfig, "dsig": DistanceGraphConfig, "model": ModelConfig,
+            "train": TrainConfig}
+# value kind of each field annotation; a tuple field holds ints
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "tuple": "int_list"}
+# {section: {key: kind}}: every field of the section's dataclass but the
+# nested sections (ModelConfig holds the spm and dsig configs)
+_KEYS = {section: {f.name: _KINDS[f.type] for f in fields(cls) if f.name not in SECTIONS}
+         for section, cls in SECTIONS.items()}
 
 
 def _convert(raw, kind, where):
@@ -62,34 +59,36 @@ def _convert(raw, kind, where):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def parse_config(text, path="<config>"):
-    """Build a FullConfig from INI-style text; unknown keys are errors."""
+def parse_config(text, path="<config>", overrides=None):
+    """Build a FullConfig from INI-style text; unknown keys are errors.
+    `overrides` ({section: {key: value}}, e.g. from command-line flags)
+    replace values of the text before the dataclasses validate them."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keys are case-sensitive (P vs p)
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    values = {section: {} for section in _SCHEMA}
+    values = {section: {} for section in SECTIONS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        keys = _KEYS[section]
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in keys:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            values[section][key] = _convert(raw, _SCHEMA[section][key],
-                                            f"{path} [{section}] {key}")
-    model_kw = values["model"]
-    spm = SpmConfig(D=model_kw.get("D", 768), **values["spm"])
+            values[section][key] = _convert(raw, keys[key], f"{path} [{section}] {key}")
+    for section, kv in (overrides or {}).items():
+        values[section].update(kv)
+    spm = SpmConfig(**values["spm"])
     dsig = DistanceGraphConfig(**values["dsig"])
-    model = ModelConfig(spm=spm, dsig=dsig, **model_kw)
-    train = TrainConfig(**values["train"])
-    return FullConfig(spm=spm, dsig=dsig, model=model, train=train)
+    model = ModelConfig(spm=spm, dsig=dsig, **values["model"])
+    return FullConfig(spm=spm, dsig=dsig, model=model, train=TrainConfig(**values["train"]))
 
 
-def load_config(path):
+def load_config(path, overrides=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), path=str(path))
+        return parse_config(fh.read(), path=str(path), overrides=overrides)
 
 
 def default_config():
@@ -98,28 +97,20 @@ def default_config():
 
 def to_sections(cfg):
     """All values materialized, section by section (the manifest's view)."""
-    return {
-        "spm": {"P": cfg.spm.P, "stride": cfg.spm.stride, "padding": cfg.spm.padding,
-                "T": cfg.spm.T, "per_part_conv": cfg.spm.per_part_conv},
-        "dsig": {"k": cfg.dsig.k},
-        "model": {"num_classes": cfg.model.num_classes, "D": cfg.model.D,
-                  "h": cfg.model.h, "N": cfg.model.N, "ffn_mult": cfg.model.ffn_mult,
-                  "mode": cfg.model.mode, "scale_mode": cfg.model.scale_mode,
-                  "dropout": cfg.model.dropout,
-                  "tie_person_branches": cfg.model.tie_person_branches},
-        "train": {"lr": cfg.train.lr, "momentum": cfg.train.momentum,
-                  "milestones": " ".join(str(m) for m in cfg.train.milestones),
-                  "lr_decay": cfg.train.lr_decay, "epochs": cfg.train.epochs,
-                  "batch_size": cfg.train.batch_size, "seed": cfg.train.seed,
-                  "noise_sigma_m": cfg.train.noise_sigma_m},
-    }
+    sections = {}
+    for section, keys in _KEYS.items():
+        obj = getattr(cfg, section)
+        sections[section] = {
+            key: " ".join(map(str, getattr(obj, key))) if kind == "int_list"
+            else getattr(obj, key) for key, kind in keys.items()}
+    return sections
 
 
 def config_text(cfg):
     """Canonical INI rendering of a resolved config."""
     sections = to_sections(cfg)
     out = io.StringIO()
-    for section in ("spm", "dsig", "model", "train"):
+    for section in SECTIONS:
         out.write(f"[{section}]\n")
         for key, value in sections[section].items():
             out.write(f"{key} = {value}\n")

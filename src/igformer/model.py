@@ -31,6 +31,7 @@ from .skeleton import builtin_part_map
 from .spm import SpmConfig, add_positional, spm_forward
 
 TRUNC_STD = 0.02
+FFN_MULT = 4  # the feed-forward layers are 4D wide
 
 
 @dataclass
@@ -39,7 +40,6 @@ class ModelConfig:
     D: int = 768
     h: int = 12
     N: int = 3
-    ffn_mult: int = 4
     mode: str = "full"
     scale_mode: str = "per_head"   # or "full_dim"
     dropout: float = 0.0
@@ -49,15 +49,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.spm is None:
-            self.spm = SpmConfig(D=self.D)
+            self.spm = SpmConfig()
         if self.N < 1:
             raise ConfigError("need at least one interaction block")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
         if self.D % self.h:
             raise ConfigError(f"hidden size {self.D} not divisible by {self.h} heads")
-        if self.spm.D != self.D:
-            raise ConfigError(f"tokenizer width {self.spm.D} != hidden size {self.D}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if not 0.0 <= self.dropout < 1.0:
@@ -65,7 +63,7 @@ class ModelConfig:
 
     @property
     def ffn_width(self):
-        return self.ffn_mult * self.D
+        return FFN_MULT * self.D
 
 
 @dataclass
@@ -274,15 +272,9 @@ def _assemble(cfg, part_map, param):
                          make(f"{prefix}.b2", "zeros", cfg.D))
 
     spm_cfg = cfg.spm
-    B = part_map.B
-    kernel_shape = (cfg.D, spm_cfg.P, spm_cfg.P, 3)
-    if spm_cfg.per_part_conv:
-        conv_kernel = [make(f"spm.conv{p}.kernel", "fan_in", *kernel_shape) for p in range(B)]
-        conv_bias = [make(f"spm.conv{p}.bias", "zeros", cfg.D) for p in range(B)]
-    else:
-        conv_kernel = make("spm.conv.kernel", "fan_in", *kernel_shape)
-        conv_bias = make("spm.conv.bias", "zeros", cfg.D)
-    posenc = make("spm.posenc", "posenc", spm_cfg.M(B), cfg.D)
+    conv_kernel = make("spm.conv.kernel", "fan_in", cfg.D, spm_cfg.P, spm_cfg.P, 3)
+    conv_bias = make("spm.conv.bias", "zeros", cfg.D)
+    posenc = make("spm.posenc", "posenc", spm_cfg.M(part_map.B), cfg.D)
 
     d = cfg.D // cfg.h
     itbs = []
@@ -383,7 +375,7 @@ def expected_param_count(cfg, B=5):
     D, C = cfg.D, cfg.num_classes
     inner = cfg.ffn_width
     M = cfg.spm.M(B)
-    conv = (D * cfg.spm.P * cfg.spm.P * 3 + D) * (B if cfg.spm.per_part_conv else 1)
+    conv = D * cfg.spm.P * cfg.spm.P * 3 + D
     ffn = D * inner + inner + inner * D + D
     ln = 2 * D
     se = 2 * ln + 4 * (D * D + D) + ffn

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -226,10 +227,10 @@ def _joint_blocks(rows, blocks):
 def _joint_xyz(rows, blocks):
     """(number of joint rows, 3) x/y/z of the blocks' joint rows that the file
     holds, in one C-level pass that also checks every row's field count.
-    When that pass rejects a row, the rows are read again one token at a
-    time with `float()`, which names the first bad line, or converts what
-    `float()` accepts and loadtxt does not (digit-group underscores,
-    non-ASCII digits)."""
+    When that pass rejects a row or yields a non-finite coordinate, the rows
+    are read again one token at a time with `float()`, which names the first
+    bad line, or converts what `float()` accepts and loadtxt does not
+    (digit-group underscores, non-ASCII digits)."""
     starts = [r for _, _, r in blocks]
     lines = list(chain.from_iterable(rows.rows[r:r + NTU_JOINTS] for r in starts))
     if not lines:
@@ -239,7 +240,8 @@ def _joint_xyz(rows, blocks):
     except ValueError:
         pass
     else:
-        return table["xyz"]
+        if np.isfinite(table["xyz"]).all():
+            return table["xyz"]
     xyz = []
     for start in starts:
         for r, line in enumerate(rows.rows[start:start + NTU_JOINTS], start):
@@ -250,6 +252,8 @@ def _joint_xyz(rows, blocks):
                 xyz.append([float(v) for v in vals[:3]])
             except ValueError as exc:
                 raise rows.error(f"non-numeric coordinate: {exc}", r) from None
+            if not all(map(math.isfinite, xyz[-1])):
+                raise rows.error(f"non-finite coordinate in {' '.join(vals[:3])}", r)
     return np.array(xyz)
 
 
@@ -264,8 +268,9 @@ def parse_ntu(data):
     coordinates there. When more than two bodies appear, the two with the
     longest presence are kept (ties break toward the smaller body ID).
 
-    Every joint line is checked and converted, dropped bodies' included.
-    A ParseError names the first bad line of the file.
+    Every joint line is checked and converted, dropped bodies' included;
+    nan and inf coordinates are rejected. A ParseError names the first bad
+    line of the file.
     """
     rows = _Rows(data)
     blocks = []
@@ -308,7 +313,8 @@ def parse_sbu(data, label=0, source_id=""):
     """Parse SBU rows: frame index then 90 values (2 persons x 15 joints x 3).
 
     Fields may be separated by commas and/or whitespace; every row must
-    carry exactly 91 fields. Coordinates stay in the file's normalized units.
+    carry exactly 91 fields of finite numbers. Coordinates stay in the
+    file's normalized units.
     """
     if isinstance(data, bytes):
         data = decode_utf8(data, "SBU file")
@@ -324,6 +330,8 @@ def parse_sbu(data, label=0, source_id=""):
             rows.append([float(v) for v in fields[1:]])
         except ValueError as exc:
             raise ParseError(f"non-numeric value: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError("non-finite value", line=lineno)
     if not rows:
         raise ParseError("file contains no skeleton rows")
     data = np.asarray(rows).reshape(len(rows), 2, 15, 3)

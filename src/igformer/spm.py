@@ -25,12 +25,10 @@ class SpmConfig:
     P: int = 16
     stride: int = 10
     padding: int = 2
-    D: int = 768
     T: int = 256
-    per_part_conv: bool = False
 
     def __post_init__(self):
-        if min(self.P, self.stride, self.D, self.T) < 1 or self.padding < 0:
+        if min(self.P, self.stride, self.T) < 1 or self.padding < 0:
             raise ConfigError(f"invalid tokenizer geometry {self}")
         if self.L < 1:
             raise ConfigError(f"geometry {self} yields {self.L} temporal steps")
@@ -82,21 +80,16 @@ def partition(seq, part_map):
 def spm_forward(seq, part_map, cfg, kernel, bias):
     """Tokenize one person: partition, resize joints to P, project, interleave.
 
-    `kernel`/`bias` are a single shared projection (D x P x P x 3, D) or,
-    with cfg.per_part_conv, per-part lists of length B.
+    `kernel`/`bias` are the projection (D x P x P x 3, D) all parts share.
     """
     if seq.T != cfg.T:
         raise ConfigError(f"sequence has {seq.T} frames, config expects {cfg.T}; pad first")
     parts = partition(seq, part_map)
     B = part_map.B
-    kernels = kernel if cfg.per_part_conv else [kernel] * B
-    biases = bias if cfg.per_part_conv else [bias] * B
-    if len(kernels) != B or len(biases) != B:
-        raise ConfigError(f"need {B} per-part projections, got {len(kernels)}")
     outputs = []
-    for block, k, b in zip(parts, kernels, biases):
+    for block in parts:
         resized = T.linear_interp_resize(T.Tensor(block), cfg.P)
-        outputs.append(T.conv2d(resized, k, b, stride=cfg.stride, padding=cfg.padding))
+        outputs.append(T.conv2d(resized, kernel, bias, stride=cfg.stride, padding=cfg.padding))
     stacked = T.concat(outputs, axis=0)  # part-major: row p*L + t
     tokens = T.permute_rows(stacked, time_major_permutation(B, cfg.L))
     return BptSequence(tokens, B=B, L=cfg.L)

@@ -187,6 +187,8 @@ class TrainConfig:
             raise ConfigError("milestones must lie before the last epoch")
         if self.noise_sigma_m < 0:
             raise ConfigError("noise sigma must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def lr_at(epoch, cfg):

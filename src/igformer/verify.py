@@ -95,7 +95,7 @@ def _gradcheck_cases():
 
 def _tiny_cfg(**kw):
     defaults = dict(num_classes=3, D=8, h=2, N=1,
-                    spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=8),
+                    spm=SpmConfig(P=4, stride=4, padding=0, T=8),
                     dsig=DistanceGraphConfig(k=3))
     defaults.update(kw)
     return ModelConfig(**defaults)
@@ -191,8 +191,8 @@ def _random_graphs(rng, m, k):
 
 # window geometry of the graph checks (T=40 -> L=10, M=50) and of the
 # D=8 models of the symmetry and determinism checks (T=16 -> M=20)
-_GRAPH_SPM = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
-_SWAP_SPM = SpmConfig(P=4, stride=4, padding=0, D=8, T=16)
+_GRAPH_SPM = SpmConfig(P=8, stride=4, padding=2, T=40)
+_SWAP_SPM = SpmConfig(P=4, stride=4, padding=0, T=16)
 
 
 def _gradchecks():
@@ -240,10 +240,11 @@ def _structural_checks():
 
     @check("spm.step-count-formula")
     def _():
-        # conv_steps, the conv's output length, SpmConfig.L and a direct count of
-        # the windows on the zero-padded sequence agree over a random sweep
+        # conv_steps, the conv's output length (with and without a channel
+        # axis), SpmConfig.L and a direct count of the windows on the
+        # zero-padded sequence agree over a random sweep
         rng = np.random.default_rng(3)
-        for _ in range(40):
+        for i in range(40):
             t = int(rng.integers(4, 64))
             p = int(rng.integers(1, min(t, 9) + 1))
             stride = int(rng.integers(1, 7))
@@ -251,13 +252,14 @@ def _structural_checks():
             want = T.conv_steps(t, p, stride, padding)
             if want < 1:
                 continue
-            out = T.conv2d(T.Tensor(rng.normal(size=(t, p, 3))),
-                           T.Tensor(rng.normal(size=(2, p, p, 3))),
+            channels = (3,) if i % 2 else ()
+            out = T.conv2d(T.Tensor(rng.normal(size=(t, p, *channels))),
+                           T.Tensor(rng.normal(size=(2, p, p, *channels))),
                            stride=stride, padding=padding)
             padded = t + 2 * padding
             count = sum(1 for j in range(0, padded, stride) if j + p <= padded)
             assert out.shape[0] == want == count
-            assert SpmConfig(P=p, stride=stride, padding=padding, D=2, T=t).L == want
+            assert SpmConfig(P=p, stride=stride, padding=padding, T=t).L == want
         out = T.conv2d(T.Tensor(np.zeros((256, 16, 3))), T.Tensor(np.zeros((4, 16, 16, 3))),
                        stride=10, padding=2)
         assert out.shape == (25, 4) and SpmConfig().L == 25
@@ -266,7 +268,7 @@ def _structural_checks():
     def _():
         # tokens t*B..t*B+B-1 are the B per-part embeddings of step t
         rng = np.random.default_rng(4)
-        cfg = SpmConfig(P=4, stride=2, padding=0, D=3, T=12)
+        cfg = SpmConfig(P=4, stride=2, padding=0, T=12)
         part_map = builtin_part_map(15)
         kernel = T.Tensor(rng.normal(scale=0.1, size=(3, 4, 4, 3)))
         bias = T.Tensor(np.zeros(3))

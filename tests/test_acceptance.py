@@ -26,7 +26,7 @@ def report(name):
 
 # -- shared trained models (learnability / noise / symmetry criteria) ---------
 
-LEARN_SPM = SpmConfig(P=8, stride=8, padding=0, D=32, T=64)
+LEARN_SPM = SpmConfig(P=8, stride=8, padding=0, T=64)
 
 
 def learn_cfg(mode):
@@ -81,7 +81,7 @@ def test_criterion_configuration_fidelity():
     assert cfg.train.milestones == (30, 40)
     assert cfg.train.batch_size == 32
     # the instantiated system realizes those numbers, not just the config
-    small = ModelConfig(num_classes=4, D=8, h=2, spm=SpmConfig(D=8))
+    small = ModelConfig(num_classes=4, D=8, h=2, spm=SpmConfig())
     model = init_params(small, seed=0, part_map=builtin_part_map(25))
     assert len(model.itbs) == 3
     assert model.posenc.shape == (125, 8)
@@ -99,7 +99,7 @@ def test_criterion_gradient_suite_per_op():
 def test_criterion_gradient_suite_end_to_end():
     # tiny model from the criterion: D=8, h=2, N=2, T=32 -> L=8, M=40
     cfg = ModelConfig(num_classes=3, D=8, h=2, N=2,
-                      spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=32),
+                      spm=SpmConfig(P=4, stride=4, padding=0, T=32),
                       dsig=DistanceGraphConfig(k=5))
     assert cfg.spm.M(5) == 40
     worst, count = vmod.end_to_end_gradcheck(cfg, model_seed=11, sample_seed=42, tol=1e-4)
@@ -147,7 +147,7 @@ def test_criterion_noise_robustness_direction(trained_full, synth_sets):
 
 def test_criterion_determinism():
     part_map = builtin_part_map(15)
-    spm = SpmConfig(P=8, stride=8, padding=0, D=16, T=32)
+    spm = SpmConfig(P=8, stride=8, padding=0, T=32)
     data = tr.prepare_dataset(tr.make_synth_dataset(16, T=32, seed=4),
                               part_map, spm, 5)
     cfg = ModelConfig(num_classes=4, D=16, h=2, N=1, spm=spm,

@@ -7,7 +7,7 @@ import numpy as np
 
 from conftest import TINY_CONFIG
 from igformer import attention
-from igformer.cli import _load_manifest_overrides, build_parser, main
+from igformer.cli import _command_line, build_parser, main
 
 
 def run(*argv):
@@ -114,20 +114,70 @@ class TestPrepare:
         for name in names:
             assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
-    def test_explicit_flags_beat_recorded_values(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"config": {}, "args": {"noise_sigma": 0.05,
-                                                               "count": 6}}))
+    def test_explicit_flags_beat_recorded_values(self, tmp_path, cfg_path):
+        first = tmp_path / "first"
+        assert run("prepare", "--format", "synth", "--count", "6", "--classes", "3",
+                   "--frames", "16", "--config", cfg_path, "--out", str(first),
+                   "--seed", "4") == 0
+        recorded = json.loads((first / "manifest.json").read_text())["argv"]
+        assert recorded[0] == "prepare" and "--amplitude=1.0" in recorded  # a default
+        replay = tmp_path / "replay"
+        assert run("prepare", "--format", "synth", "--count", "2", "--from-manifest",
+                   str(first / "manifest.json"), "--out", str(replay)) == 0
+        # --count 2 beats the recorded 6; the recorded --classes 3 beats the default 4
+        argv = json.loads((replay / "manifest.json").read_text())["argv"]
+        assert "--count=2" in argv and "--classes=3" in argv
+        assert not any(a.startswith("--from-manifest") for a in argv)
+        names = sorted(p.name for p in replay.glob("*.igf*"))
+        assert names == ["sample_00000.igf", "sample_00000.igfd",
+                         "sample_00001.igf", "sample_00001.igfd"]
+        for name in names:
+            assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
-        def replay(*argv):
-            args = build_parser().parse_args(
-                [*argv, "--out", "o", "--from-manifest", str(manifest)])
-            return _load_manifest_overrides(args)
+    def test_recorded_command_line_reproduces_every_flag(self):
+        parser = build_parser()
+        common = ["--out", "o", "--config", "c.ini", "--seed", "7"]
+        for argv in (["prepare", "--format", "ntu", "--input", "raw dir", "--count", "3",
+                      "--classes", "2", "--frames", "20", "--amplitude", "0.5",
+                      "--gen-noise", "0.1", "--k", "4"],
+                     ["train", "--data", "d", "--val", "v", "--mode", "dsig_only",
+                      "--noise-sigma", "0.01", "--k", "3", "--itb-layers", "2"],
+                     ["eval", "--data", "d", "--checkpoint", "c", "--noise-sigma", "0.3"],
+                     ["inspect-graph", "--sample=-s.igf", "--checkpoint", "c",
+                      "--itb", "1", "--k", "2"],
+                     ["verify", "--corrupt-op", "gelu"]):
+            args = parser.parse_args(argv[:1] + ["--from-manifest", "m.json"] + common + argv[1:])
+            line = _command_line(args)
+            assert line[0] == argv[0] and not any("manifest" in a for a in line)
+            args.from_manifest = None
+            assert parser.parse_args(line) == args
 
-        assert replay("eval", "--data", "d", "--checkpoint", "c",
-                      "--noise-sigma", "0").noise_sigma == 0.0
-        assert replay("eval", "--data", "d", "--checkpoint", "c").noise_sigma == 0.05
-        assert replay("prepare", "--format", "synth", "--count", "2").count == 2
+    def test_manifest_without_argv_is_user_error(self, tmp_path, cfg_path):
+        first = prepare_tiny(tmp_path, cfg_path, count=2)
+        manifest = json.loads((first / "manifest.json").read_text())
+        del manifest["argv"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        assert run("prepare", "--format", "synth", "--from-manifest", str(old),
+                   "--out", str(tmp_path / "replay")) == 1
+
+    def test_reused_out_with_other_geometry_is_refused(self, tmp_path):
+        # both geometries give M=40, so the old sidecars would pass for new ones
+        out = tmp_path / "data"
+        configs = {}
+        for P, T in ((8, 64), (16, 128)):
+            configs[P] = tmp_path / f"p{P}.ini"
+            configs[P].write_text(TestSidecarReuse.GEOMETRY.format(P=P, T=T))
+        assert run("prepare", "--format", "synth", "--count", "6", "--frames", "64",
+                   "--config", str(configs[8]), "--out", str(out), "--seed", "2") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run("prepare", "--format", "synth", "--count", "3", "--frames", "64",
+                   "--config", str(configs[16]), "--out", str(out), "--seed", "2") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the same config may prepare into it again
+        assert run("prepare", "--format", "synth", "--count", "6", "--frames", "64",
+                   "--config", str(configs[8]), "--out", str(out), "--seed", "2") == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestTrainEval:
@@ -173,7 +223,7 @@ class TestTrainEval:
                        "--out", str(out), "--mode", mode) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config"]["model"]["mode"] == mode
-            assert manifest["args"]["mode"] == mode
+            assert f"--mode={mode}" in manifest["argv"]
 
     def test_noise_and_k_flags(self, tmp_path, cfg_path):
         data = prepare_tiny(tmp_path, cfg_path)
@@ -218,6 +268,16 @@ class TestTrainEval:
                    "--out", str(out), "--itb-layers", "2") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["model"]["N"] == 2
+
+    def test_invalid_flag_values_exit_one(self, tmp_path, cfg_path):
+        # flags are config values and pass the config's checks
+        data = prepare_tiny(tmp_path, cfg_path, count=4)
+        for flag, value in (("--itb-layers", "0"), ("--itb-layers", "-1"),
+                            ("--noise-sigma", "-0.5"), ("--seed", "-1")):
+            out = tmp_path / f"bad{flag}{value}"
+            assert run("train", "--data", str(data), "--config", cfg_path,
+                       "--out", str(out), flag, value) == 1
+            assert not out.exists()
 
     def test_config_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.ini"

@@ -20,7 +20,7 @@ def random_sample(rng, t=40, j=15):
     return InteractionSample(a, b, label=0)
 
 
-TINY = SpmConfig(P=8, stride=4, padding=2, D=2, T=40)
+TINY = SpmConfig(P=8, stride=4, padding=2, T=40)
 
 
 class TestCentroids:
@@ -63,7 +63,7 @@ class TestDownsample:
         assert np.allclose(steps, [1.0, 2.0, 3.0])
 
     def test_whole_window_mean(self):
-        cfg = SpmConfig(P=8, stride=1, padding=0, D=2, T=8)
+        cfg = SpmConfig(P=8, stride=1, padding=0, T=8)
         rng = np.random.default_rng(2)
         traj = rng.normal(size=(8, 3))
         steps = G.downsample_to_steps(traj, cfg)
@@ -179,7 +179,7 @@ class TestGraphInvariants:
 
 
 def test_reference_geometry_matches_brute_force_oracle():
-    cfg = SpmConfig(P=16, stride=10, padding=2, D=2, T=256)
+    cfg = SpmConfig(P=16, stride=10, padding=2, T=256)
     part_map = builtin_part_map(25)
     s = random_sample(np.random.default_rng(14), t=256, j=25)
     g = G.build_interaction_graphs(s, part_map, cfg, k=15)

@@ -15,10 +15,9 @@ from igformer.skeleton import InteractionSample, SkeletonSequence, builtin_part_
 from igformer.spm import SpmConfig
 
 
-def tiny_cfg(per_part_conv=False, **kw):
+def tiny_cfg(**kw):
     defaults = dict(num_classes=3, D=8, h=2, N=2,
-                    spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=16,
-                                  per_part_conv=per_part_conv))
+                    spm=SpmConfig(P=4, stride=4, padding=0, T=16))
     defaults.update(kw)
     return M.ModelConfig(**defaults)
 
@@ -26,16 +25,15 @@ def tiny_cfg(per_part_conv=False, **kw):
 VARIANTS = {
     "default": {},
     "tied": {"tie_person_branches": True},
-    "per_part_conv": {"per_part_conv": True},
-    "tied_per_part_conv": {"tie_person_branches": True, "per_part_conv": True},
 }
 
-# sha256 of save_checkpoint(init_params(cfg, seed=7), "pin"), recorded before
-# the structure walk was split out of the initializer: any change to the draw
-# order, the initializers or the registry order changes these bytes.
+# sha256 of save_checkpoint(init_params(cfg, seed=7), "pin"): "default" recorded
+# before the structure walk was split out of the initializer, "tied" before the
+# per-part projection option was removed. Any change to the draw order, the
+# initializers or the registry order changes these bytes.
 PINNED_INIT_SHA256 = {
     "default": "1cdd2a1ee9cf3255f0a2e5739551292eb29c24f2bdd4ccf52b5c1754f50915b1",
-    "tied_per_part_conv": "6e177f36de50589bd2705842812805c91279a5077de0ac26957c7820cc72f3fe",
+    "tied": "1c3c3c1b25790fe706d3e87855086e27e5467e1d54833230233a4c5bd7529904",
 }
 
 
@@ -52,7 +50,7 @@ def full_config(model_cfg):
     """A FullConfig whose architecture digest describes `model_cfg`."""
     spm = model_cfg.spm
     text = (f"[spm]\nP = {spm.P}\nstride = {spm.stride}\npadding = {spm.padding}\n"
-            f"T = {spm.T}\nper_part_conv = {spm.per_part_conv}\n"
+            f"T = {spm.T}\n"
             f"[model]\nnum_classes = {model_cfg.num_classes}\nD = {model_cfg.D}\n"
             f"h = {model_cfg.h}\nN = {model_cfg.N}\n"
             f"tie_person_branches = {model_cfg.tie_person_branches}\n")
@@ -102,9 +100,6 @@ def test_load_model_registry_equals_checkpoint(tmp_path, variant):
         tied = cfg.model.tie_person_branches
         assert (itb.out_n is itb.out_m) == tied
         assert (itb.gi.wn is itb.gi.wm) == tied
-    if cfg.spm.per_part_conv:
-        assert all(k is registry[f"spm.conv{p}.kernel"]
-                   for p, k in enumerate(model.conv_kernel))
 
 
 def test_restored_logits_equal_initialized_ones():

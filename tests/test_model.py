@@ -18,7 +18,7 @@ from igformer.spm import SpmConfig
 
 def tiny_cfg(**kw):
     defaults = dict(num_classes=3, D=8, h=2, N=2,
-                    spm=SpmConfig(P=4, stride=4, padding=0, D=8, T=16))
+                    spm=SpmConfig(P=4, stride=4, padding=0, T=16))
     defaults.update(kw)
     return M.ModelConfig(**defaults)
 
@@ -129,7 +129,7 @@ class TestForward:
     def test_paper_scale_token_count_and_logit_length(self):
         # default tokenizer geometry at J=25 yields 125 tokens per person
         cfg = M.ModelConfig(num_classes=11, D=8, h=2, N=1,
-                            spm=SpmConfig(D=8))  # T=256, P=16, stride=10, padding=2
+                            spm=SpmConfig())  # T=256, P=16, stride=10, padding=2
         part_map = builtin_part_map(25)
         model = M.init_params(cfg, seed=0, part_map=part_map)
         rng = np.random.default_rng(7)
@@ -195,7 +195,7 @@ class TestForward:
     def test_graph_size_mismatch(self):
         rng = np.random.default_rng(14)
         cfg = tiny_cfg()
-        other = tiny_cfg(spm=SpmConfig(P=4, stride=2, padding=0, D=8, T=16))
+        other = tiny_cfg(spm=SpmConfig(P=4, stride=2, padding=0, T=16))
         model = M.init_params(cfg, seed=9)
         sample, graphs, _ = sample_with_graphs(rng, other)
         with pytest.raises(ConfigError):

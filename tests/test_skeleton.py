@@ -107,6 +107,20 @@ class TestParseNtu:
         with pytest.raises(ParseError, match=f"^line {first + 2}: non-numeric coordinate"):
             sk.parse_ntu("\n".join(lines))
 
+    def test_nan_in_kept_body_names_its_line(self):
+        lines, first = self.three_body_text()
+        assert lines[4].startswith("1.000000")  # body 1's first joint line
+        lines[4] = lines[4].replace("1.000000", "nan", 1)
+        lines[first + 2 - 1] = lines[first + 2 - 1].replace("3.000000", "inf", 1)
+        with pytest.raises(ParseError, match="^line 5: non-finite coordinate in nan 1.0"):
+            sk.parse_ntu("\n".join(lines))
+
+    def test_inf_in_dropped_body_names_its_line(self):
+        lines, first = self.three_body_text()
+        lines[first + 2 - 1] = lines[first + 2 - 1].replace("3.000000", "-inf", 1)
+        with pytest.raises(ParseError, match=f"^line {first + 2}: non-finite coordinate"):
+            sk.parse_ntu("\n".join(lines))
+
     def test_value_starting_with_hash_names_its_line(self):
         lines, first = self.three_body_text()
         lines[first - 10] = "#" + lines[first - 10]
@@ -179,6 +193,12 @@ class TestParseSbu:
         rows = "\n".join(self.sbu_row(i + 1, np.full(90, 0.25)) for i in range(2))
         sample = sk.parse_sbu(rows)
         assert sample.person_a.T == 2
+
+    def test_non_finite_value_names_its_row(self):
+        values = np.full(90, 0.25)
+        rows = [self.sbu_row(1, values), self.sbu_row(2, values).replace("0.250000", "nan", 1)]
+        with pytest.raises(ParseError, match="^line 2: non-finite value"):
+            sk.parse_sbu("\n".join(rows))
 
     def test_short_row_rejected(self):
         with pytest.raises(ParseError, match="line 1"):

@@ -49,43 +49,28 @@ class TestPartition:
 
 class TestGeometry:
     def test_paper_scale_defaults(self):
-        cfg = spm.SpmConfig(D=8)
+        cfg = spm.SpmConfig()
         assert (cfg.T, cfg.P, cfg.stride, cfg.padding) == (256, 16, 10, 2)
         assert cfg.L == 25
         assert cfg.M(5) == 125
 
-    def test_formula_matches_conv_output_in_sweep(self):
-        rng = np.random.default_rng(4)
-        for _ in range(40):
-            t = int(rng.integers(8, 64))
-            p = int(rng.integers(2, 8))
-            stride = int(rng.integers(1, 7))
-            padding = int(rng.integers(0, p))  # keep clipped windows nonempty
-            if T.conv_steps(t, p, stride, padding) < 1:
-                continue
-            cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, D=2, T=t)
-            x = T.Tensor(rng.normal(size=(t, p, 3)))
-            k = T.Tensor(rng.normal(size=(2, p, p, 3)))
-            out = T.conv2d(x, k, stride=stride, padding=padding)
-            assert out.shape[0] == cfg.L
-
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
-            spm.SpmConfig(P=32, stride=10, padding=0, D=4, T=16)
+            spm.SpmConfig(P=32, stride=10, padding=0, T=16)
 
 
-def tiny_setup(rng, cfg, j=15):
+def tiny_setup(rng, cfg, D, j=15):
     part_map = builtin_part_map(j)
-    kernel = T.Tensor(rng.normal(scale=0.1, size=(cfg.D, cfg.P, cfg.P, 3)), requires_grad=True)
-    bias = T.Tensor(np.zeros(cfg.D), requires_grad=True)
+    kernel = T.Tensor(rng.normal(scale=0.1, size=(D, cfg.P, cfg.P, 3)), requires_grad=True)
+    bias = T.Tensor(np.zeros(D), requires_grad=True)
     return part_map, kernel, bias
 
 
 class TestForward:
     def test_default_geometry_yields_125_tokens(self):
         rng = np.random.default_rng(5)
-        cfg = spm.SpmConfig(D=4)
-        part_map, kernel, bias = tiny_setup(rng, cfg)
+        cfg = spm.SpmConfig()
+        part_map, kernel, bias = tiny_setup(rng, cfg, D=4)
         seq = SkeletonSequence(rng.normal(size=(256, 15, 3)))
         bpt = spm.spm_forward(seq, part_map, cfg, kernel, bias)
         assert bpt.M == 125
@@ -93,15 +78,15 @@ class TestForward:
 
     def test_zero_input_zero_bias_gives_zero_tokens(self):
         rng = np.random.default_rng(6)
-        cfg = spm.SpmConfig(P=4, stride=4, padding=0, D=3, T=16)
-        part_map, kernel, bias = tiny_setup(rng, cfg)
+        cfg = spm.SpmConfig(P=4, stride=4, padding=0, T=16)
+        part_map, kernel, bias = tiny_setup(rng, cfg, D=3)
         seq = SkeletonSequence(np.zeros((16, 15, 3)))
         bpt = spm.spm_forward(seq, part_map, cfg, kernel, bias)
         assert np.array_equal(bpt.tokens.data, np.zeros_like(bpt.tokens.data))
 
     def test_single_part_single_window(self):
         rng = np.random.default_rng(7)
-        cfg = spm.SpmConfig(P=4, stride=1, padding=0, D=2, T=4)
+        cfg = spm.SpmConfig(P=4, stride=1, padding=0, T=4)
         part_map = BodyPartMap((("left_arm", (0, 1)), ("right_arm", (2,)),
                                 ("left_leg", (3,)), ("right_leg", (4,)),
                                 ("torso", (5,))), joint_count=6)
@@ -120,8 +105,8 @@ class TestForward:
     def test_projection_shared_across_parts_and_persons(self):
         # a single kernel/bias pair receives gradient from every part of both persons
         rng = np.random.default_rng(9)
-        cfg = spm.SpmConfig(P=4, stride=4, padding=0, D=3, T=8)
-        part_map, kernel, bias = tiny_setup(rng, cfg)
+        cfg = spm.SpmConfig(P=4, stride=4, padding=0, T=8)
+        part_map, kernel, bias = tiny_setup(rng, cfg, D=3)
         seq_a = SkeletonSequence(rng.normal(size=(8, 15, 3)))
         seq_b = SkeletonSequence(rng.normal(size=(8, 15, 3)))
         out_a = spm.spm_forward(seq_a, part_map, cfg, kernel, bias)
@@ -129,24 +114,14 @@ class TestForward:
         (out_a.tokens.sum() + out_b.tokens.sum()).backward()
         assert kernel.grad is not None and np.abs(kernel.grad).max() > 0
         # gradient of sum wrt bias counts every token of both persons
-        assert np.allclose(bias.grad, np.full(cfg.D, 2 * out_a.M))
+        assert np.allclose(bias.grad, np.full(3, 2 * out_a.M))
 
     def test_unpadded_sequence_rejected(self):
         rng = np.random.default_rng(10)
-        cfg = spm.SpmConfig(P=4, stride=4, padding=0, D=3, T=16)
-        part_map, kernel, bias = tiny_setup(rng, cfg)
+        cfg = spm.SpmConfig(P=4, stride=4, padding=0, T=16)
+        part_map, kernel, bias = tiny_setup(rng, cfg, D=3)
         with pytest.raises(ConfigError):
             spm.spm_forward(SkeletonSequence(np.zeros((8, 15, 3))), part_map, cfg, kernel, bias)
-
-    def test_per_part_projections(self):
-        rng = np.random.default_rng(11)
-        cfg = spm.SpmConfig(P=4, stride=4, padding=0, D=2, T=8, per_part_conv=True)
-        part_map = builtin_part_map(15)
-        kernels = [T.Tensor(rng.normal(size=(2, 4, 4, 3))) for _ in range(5)]
-        biases = [T.Tensor(np.zeros(2)) for _ in range(5)]
-        seq = SkeletonSequence(rng.normal(size=(8, 15, 3)))
-        bpt = spm.spm_forward(seq, part_map, cfg, kernels, biases)
-        assert bpt.tokens.shape == (5 * cfg.L, 2)
 
 
 class TestPositional:

@@ -14,7 +14,7 @@ from igformer.model import ModelConfig, init_params
 from igformer.skeleton import builtin_part_map
 from igformer.spm import SpmConfig
 
-TINY_SPM = SpmConfig(P=8, stride=8, padding=0, D=16, T=32)
+TINY_SPM = SpmConfig(P=8, stride=8, padding=0, T=32)
 
 
 def tiny_model(seed=0, **kw):
