@@ -54,6 +54,21 @@ class TestGeometry:
         assert cfg.L == 25
         assert cfg.M(5) == 125
 
+    def test_formula_matches_conv_output_in_sweep(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            t = int(rng.integers(8, 64))
+            p = int(rng.integers(2, 8))
+            stride = int(rng.integers(1, 7))
+            padding = int(rng.integers(0, p))  # keep clipped windows nonempty
+            if T.conv_steps(t, p, stride, padding) < 1:
+                continue
+            cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, T=t)
+            x = T.Tensor(rng.normal(size=(t, p, 3)))
+            k = T.Tensor(rng.normal(size=(2, p, p, 3)))
+            out = T.conv2d(x, k, stride=stride, padding=padding)
+            assert out.shape[0] == cfg.L
+
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
             spm.SpmConfig(P=32, stride=10, padding=0, T=16)

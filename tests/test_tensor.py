@@ -107,6 +107,13 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=1, padding=0)
         assert out.data.shape == (1, 3)
 
+    def test_default_geometry_gives_25_steps(self):
+        assert T.conv_steps(256, 16, 10, 2) == 25
+        x = np.zeros((256, 16, 3))
+        k = np.zeros((4, 16, 16, 3))
+        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=10, padding=2)
+        assert out.data.shape == (25, 4)
+
     def test_hand_unrolled_window_sums(self):
         # all-ones 4x2 input, all-ones 1x2x2 kernel: three windows of sum 4
         x = np.ones((4, 2))
@@ -114,6 +121,25 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(x), T.Tensor(k), bias=T.Tensor(np.zeros(1)),
                        stride=1, padding=0)
         assert np.array_equal(out.data, np.array([[4.0], [4.0], [4.0]]))
+
+    def test_step_count_formula_matches_windows(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            t = int(rng.integers(4, 40))
+            p = int(rng.integers(1, min(t, 9) + 1))
+            stride = int(rng.integers(1, 6))
+            padding = int(rng.integers(0, 4))
+            want = T.conv_steps(t, p, stride, padding)
+            if want < 1:
+                continue
+            x = rng.normal(size=(t, p))
+            k = rng.normal(size=(2, p, p))
+            out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=padding)
+            # enumerate the windows directly on the padded sequence
+            xpad = np.pad(x, ((padding, padding), (0, 0)))
+            count = sum(1 for j in range(xpad.shape[0])
+                        if j % stride == 0 and j + p <= xpad.shape[0])
+            assert out.data.shape[0] == want == count
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigError):
