@@ -2,8 +2,9 @@
 
 Every command takes --out, honors --seed, and writes a RunManifest (JSON with
 the effective command line and every config value materialized) into the
-output directory before any compute, so a finished run can be replayed
-bit-identically with --from-manifest.
+output directory after checking its config (and any checkpoint) and before
+any compute, so a finished run can be replayed bit-identically with
+--from-manifest.
 
 Exit codes: 0 success, 1 user/config error, 2 internal invariant violation.
 Set IGFORMER_LOG=debug|info|warning to control log verbosity.
@@ -199,6 +200,9 @@ def cmd_prepare(args):
     if args.format in ("ntu", "sbu") and not args.input:
         raise ConfigError(f"--input is required for --format {args.format}")
     inputs = [args.input] if args.input else []
+    m = cfg.spm.M(5)  # every built-in part map has five parts
+    if cfg.dsig.k > m:
+        raise ConfigError(f"k={cfg.dsig.k} outside 1..{m}")
     if any(Path(args.out).glob("*.igf")) and not _sidecars_fit(args.out, cfg):
         raise ConfigError(f"{args.out} holds samples prepared with other window geometry "
                           f"or k; prepare into an empty directory")
@@ -329,8 +333,8 @@ def _load_model(checkpoint_path, cfg, part_map):
 def cmd_eval(args):
     cfg = _resolve_config(args)
     prepared, part_map = _load_prepared(args.data, cfg)
-    out = _write_manifest(args, cfg, [args.data, args.checkpoint])
     model = _load_model(args.checkpoint, cfg, part_map)
+    out = _write_manifest(args, cfg, [args.data, args.checkpoint])
     report = tr.evaluate(model, prepared, noise_sigma_m=args.noise_sigma,
                          noise_seed=cfg.train.seed)
     class_names = tr.SYNTH_CLASSES if cfg.model.num_classes <= len(tr.SYNTH_CLASSES) else None
@@ -345,11 +349,11 @@ def cmd_inspect_graph(args):
     sample = skel.read_canonical(Path(args.sample).read_bytes())
     padded = skel.pad_sample(sample, cfg.spm.T)
     part_map = skel.builtin_part_map(padded.person_a.J)
-    out = _write_manifest(args, cfg, [args.sample, args.checkpoint])
-    model = _load_model(args.checkpoint, cfg, part_map)
-    graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
     if not 0 <= args.itb < cfg.model.N:
         raise ConfigError(f"--itb must be in 0..{cfg.model.N - 1}")
+    model = _load_model(args.checkpoint, cfg, part_map)
+    graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
+    out = _write_manifest(args, cfg, [args.sample, args.checkpoint])
     collect = {}
     with model.inference():
         model.forward(padded, graphs, collect=collect)

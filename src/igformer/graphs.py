@@ -1,7 +1,7 @@
 """Distance-based sparse interaction graphs.
 
 Built once per sample from raw coordinates: per-part centroids, temporal
-downsampling aligned with the tokenizer's convolution windows, cross-person
+downsampling aligned with the tokenizer's patch windows, cross-person
 Euclidean distances, and per-row k-nearest thresholding (ties at the k-th
 smallest distance are all kept). Token order is the tokenizer's time-major
 order, so graph row t*B + p describes body part p over the same temporal
@@ -27,9 +27,13 @@ SIDECAR_MAGIC = b"IGFD"
 
 @dataclass
 class DistanceGraphConfig:
-    """Neighbor count plus the window geometry it must share with the tokenizer."""
+    """Neighbor count of the k-NN threshold; at most M, which `prepare` checks."""
 
     k: int = 15
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError(f"k={self.k} must be at least 1")
 
 
 @dataclass
@@ -74,16 +78,16 @@ def part_centroids(seq, part_map):
 
 
 def downsample_to_steps(traj, cfg):
-    """Average a trajectory over the tokenizer's conv windows along axis 0:
+    """Average a trajectory over the tokenizer's windows along axis 0:
     (T, ...) -> (L, ...).
 
-    Window j covers padded frames [j*stride, j*stride + P); only in-range
-    original frames contribute (clipped windows, no zero frames).
+    Only the in-range frames of each window (`SpmConfig.window_starts`)
+    contribute (clipped windows, no zero frames).
     """
     t = traj.shape[0]
     if t != cfg.T:
         raise ConfigError(f"trajectory has {t} frames, config expects {cfg.T}")
-    start = np.arange(cfg.L) * cfg.stride - cfg.padding
+    start = cfg.window_starts
     lo, hi = np.maximum(start, 0), np.minimum(start + cfg.P, t)
     empty = np.flatnonzero(hi <= lo)
     if empty.size:

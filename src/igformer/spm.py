@@ -2,6 +2,9 @@
 part's joint axis to a common width, and project temporal patches into an
 embedding sequence.
 
+The patch windows are constants built in plain numpy (no gradient flows to
+the coordinates); one tape op projects them with the shared kernel.
+
 The resulting token sequence is time-major: token index(t, p) = t*B + p for
 time step t in [0, L) and part p in [0, B). The distance graphs in
 `graphs` use the identical ordering, so row i of a graph and token i of a
@@ -35,10 +38,46 @@ class SpmConfig:
 
     @property
     def L(self):
-        return T.conv_steps(self.T, self.P, self.stride, self.padding)
+        return conv_steps(self.T, self.P, self.stride, self.padding)
+
+    @property
+    def window_starts(self):
+        """First frame of each temporal window: window j covers frames
+        [j*stride - padding, j*stride - padding + P) of the unpadded sequence."""
+        return np.arange(self.L) * self.stride - self.padding
 
     def M(self, B):
         return B * self.L
+
+
+def conv_steps(t, p, stride, padding):
+    """Number of temporal windows: ceil((T + 2*padding - P + 1) / stride)."""
+    span = t + 2 * padding - p + 1
+    return -(-span // stride)
+
+
+def resize_weights(source, target):
+    """Align-corners interpolation matrix W (target x source), rows summing to 1.
+
+    Output i samples source coordinate i*(source-1)/(target-1), so the
+    endpoints are kept exactly and a single source point is broadcast.
+    """
+    if source < 1 or target < 1:
+        raise ShapeError("resize extents must be >= 1")
+    w = np.zeros((target, source))
+    if source == 1:
+        w[:, 0] = 1.0
+        return w
+    if target == 1:
+        w[0, 0] = 1.0
+        return w
+    for i in range(target):
+        pos = i * (source - 1) / (target - 1)
+        j0 = min(int(pos), source - 2)
+        frac = pos - j0
+        w[i, j0] = 1.0 - frac
+        w[i, j0 + 1] = frac
+    return w
 
 
 @dataclass
@@ -64,11 +103,6 @@ class BptSequence:
         return self.tokens.shape[1]
 
 
-def time_major_permutation(B, L):
-    """Row order mapping part-major stacking (p*L + t) to time-major tokens."""
-    return np.array([p * L + t for t in range(L) for p in range(B)], dtype=np.intp)
-
-
 def partition(seq, part_map):
     """Split a sequence into per-part coordinate blocks, in map order."""
     if part_map.joint_count != seq.J:
@@ -77,22 +111,26 @@ def partition(seq, part_map):
     return [seq.coords[:, idx, :] for idx in part_map.indices()]
 
 
-def spm_forward(seq, part_map, cfg, kernel, bias):
-    """Tokenize one person: partition, resize joints to P, project, interleave.
-
-    `kernel`/`bias` are the projection (D x P x P x 3, D) all parts share.
-    """
+def patch_windows(seq, part_map, cfg):
+    """The (B, L, P, P, 3) windows of one person: each part's joints resized
+    to P, zero-padded in time, and cut at `cfg.window_starts`."""
     if seq.T != cfg.T:
         raise ConfigError(f"sequence has {seq.T} frames, config expects {cfg.T}; pad first")
-    parts = partition(seq, part_map)
-    B = part_map.B
-    outputs = []
-    for block in parts:
-        resized = T.linear_interp_resize(T.Tensor(block), cfg.P)
-        outputs.append(T.conv2d(resized, kernel, bias, stride=cfg.stride, padding=cfg.padding))
-    stacked = T.concat(outputs, axis=0)  # part-major: row p*L + t
-    tokens = T.permute_rows(stacked, time_major_permutation(B, cfg.L))
-    return BptSequence(tokens, B=B, L=cfg.L)
+    padded = np.zeros((part_map.B, cfg.T + 2 * cfg.padding, cfg.P, 3))
+    for resized, block in zip(padded[:, cfg.padding:cfg.padding + cfg.T],
+                              partition(seq, part_map)):
+        # coordinates enter at the default dtype, as tensor data would
+        block = block.astype(T.default_dtype(), copy=False)
+        resized[:] = np.einsum("pj,tjc->tpc", resize_weights(block.shape[1], cfg.P), block)
+    frames = cfg.window_starts[:, None] + cfg.padding + np.arange(cfg.P)  # (L, P), padded
+    return np.take(padded, frames, axis=1)  # C-contiguous, which padded[:, frames] is not
+
+
+def spm_forward(seq, part_map, cfg, kernel, bias):
+    """Tokenize one person: the patch windows, projected by `kernel`/`bias`
+    (D x P x P x 3, D), which all parts share, in one tape op."""
+    tokens = T.project_patches(patch_windows(seq, part_map, cfg), kernel, bias)
+    return BptSequence(tokens, B=part_map.B, L=cfg.L)
 
 
 def add_positional(bpt, posenc):

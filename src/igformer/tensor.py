@@ -1,8 +1,8 @@
 """Dense float tensors with reverse-mode automatic differentiation.
 
 Everything the model computes runs through this module: 2-D matmul, row
-softmax, layer norm, the temporal patch convolution, linear resizing,
-GELU, cross entropy, and the shape plumbing (reshape, concat, slicing).
+softmax, layer norm, the tokenizer's patch projection, GELU, cross entropy,
+and the shape plumbing (reshape, concat, slicing).
 Every op that touches a tensor with ``requires_grad`` records a backward
 closure; ``Tensor.backward`` replays the recorded ops in exact reverse
 execution order (creation stamps are monotonically increasing, so sorting
@@ -12,9 +12,8 @@ which the ops ran).
 Default precision is float64 so finite-difference checks are meaningful.
 ``set_default_dtype(np.float32)`` only changes the dtype of tensors built
 from new data: model parameters (and hence their gradients) become float32,
-but the skeleton coordinates and the tokenizer's resize weights are float64,
-so the tokens, the rest of the forward pass, the logits and the loss still
-compute in float64.
+but the tokenizer's resize weights are float64, so the tokens, the rest of
+the forward pass, the logits and the loss still compute in float64.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def set_default_dtype(dtype):
     """Set the float width of tensors built from new data (float64 or float32).
 
     Results of ops follow numpy's type promotion, so any float64 operand
-    (such as the resize weights of `linear_interp_resize`) makes them float64.
+    (such as the tokenizer's patch windows) makes them float64.
     """
     global _dtype
     dt = np.dtype(dtype)
@@ -291,21 +290,6 @@ def slice_axis(x, axis, start, stop):
     return out
 
 
-def permute_rows(x, perm):
-    """Reorder rows of a 2-D tensor: out[i] = x[perm[i]]."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"permute_rows expects a 2-D tensor, got {x.data.shape}")
-    perm = np.asarray(perm, dtype=np.intp)
-    if sorted(perm.tolist()) != list(range(x.data.shape[0])):
-        raise ShapeError("perm must be a permutation of the row indices")
-    out = _result(x.data[perm].copy(), (x,))
-    if out.requires_grad:
-        inv = np.argsort(perm)
-        out._backward_fn = lambda g: _accumulate(x, g[inv])
-    return out
-
-
 def softmax_rows(x):
     """Row softmax of a 2-D tensor, stabilized by row-max subtraction."""
     x = as_tensor(x)
@@ -367,105 +351,33 @@ def gelu(x):
     return out
 
 
-def _conv_operands(x, kernel):
-    xd = x.data if x.data.ndim == 3 else x.data[:, :, None]
-    kd = kernel.data if kernel.data.ndim == 4 else kernel.data[:, :, :, None]
-    t, p, c = xd.shape
-    dout, kp, kq, kc = kd.shape
-    if kp != p or kq != p:
-        raise ShapeError(f"kernel spatial size {kp}x{kq} must equal input width {p}")
-    if kc != c:
-        raise ShapeError(f"kernel channels {kc} != input channels {c}")
-    return xd, kd, t, p, c, dout
+def project_patches(windows, kernel, bias):
+    """Shared linear projection of constant patch windows into time-major tokens.
 
-
-def conv_steps(t, p, stride, padding):
-    """Number of temporal output steps: ceil((T + 2*padding - P + 1) / stride)."""
-    span = t + 2 * padding - p + 1
-    return -(-span // stride)
-
-
-def conv2d(x, kernel, bias=None, stride=1, padding=0):
-    """Temporal patch convolution: a P x P (x C) kernel slides along the frame axis.
-
-    Input is T x P (x C); zero padding is applied symmetrically on the
-    temporal axis only. Output is L x D_out with
-    L = ceil((T + 2*padding - P + 1) / stride).
+    `windows` is a plain (B, L, P, P, C) array (B parts, L steps) that takes
+    no gradient; `kernel` is D x P x P x C and `bias` is (D,). Output row
+    t*B + p is kernel . windows[p, t] + bias. The backward pass accumulates
+    the kernel and bias gradients part by part, last part first.
     """
-    if stride < 1:
-        raise ConfigError("conv2d stride must be >= 1")
-    if padding < 0:
-        raise ConfigError("conv2d padding must be >= 0")
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    xd, kd, t, p, c, dout = _conv_operands(x, kernel)
-    ell = conv_steps(t, p, stride, padding)
-    if ell < 1:
-        raise ConfigError(f"conv2d yields {ell} output steps for T={t}, P={p}, "
-                          f"stride={stride}, padding={padding}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (dout,):
-            raise ShapeError(f"bias must have shape ({dout},)")
-    xpad = np.pad(xd, ((padding, padding), (0, 0), (0, 0))) if padding else xd
-    # windows[j] covers padded frames [j*stride, j*stride + P)
-    windows = np.stack([xpad[j * stride:j * stride + p] for j in range(ell)])
-    y = np.einsum("jpqc,dpqc->jd", windows, kd)
-    if bias is not None:
-        y = y + bias.data
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _result(y, parents)
+    kernel, bias = as_tensor(kernel), as_tensor(bias)
+    if windows.ndim != 5 or windows.shape[2:] != kernel.data.shape[1:]:
+        raise ShapeError(f"windows {windows.shape} do not fit kernel {kernel.data.shape}")
+    d = kernel.data.shape[0]
+    if bias.data.shape != (d,):
+        raise ShapeError(f"bias must have shape ({d},)")
+    n_parts, ell = windows.shape[:2]
+    per_part = [np.einsum("jpqc,dpqc->jd", w, kernel.data) + bias.data for w in windows]
+    out = _result(np.stack(per_part, axis=1).reshape(ell * n_parts, d), (kernel, bias))
     if out.requires_grad:
         def backward(g):
-            if kernel.requires_grad:
-                gk = np.einsum("jd,jpqc->dpqc", g, windows)
-                _accumulate(kernel, gk.reshape(kernel.data.shape))
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=0))
-            if x.requires_grad:
-                gpad = np.zeros_like(xpad)
-                gwin = np.einsum("jd,dpqc->jpqc", g, kd)
-                for j in range(ell):
-                    gpad[j * stride:j * stride + p] += gwin[j]
-                gx = gpad[padding:padding + t] if padding else gpad
-                _accumulate(x, gx.reshape(x.data.shape))
+            rows = g.reshape(ell, n_parts, d)
+            for p in reversed(range(n_parts)):
+                gp = np.ascontiguousarray(rows[:, p])
+                if kernel.requires_grad:
+                    _accumulate(kernel, np.einsum("jd,jpqc->dpqc", gp, windows[p]))
+                if bias.requires_grad:
+                    _accumulate(bias, gp.sum(axis=0))
         out._backward_fn = backward
-    return out
-
-
-def resize_weights(source, target):
-    """Align-corners interpolation matrix W (target x source), rows summing to 1."""
-    if source < 1 or target < 1:
-        raise ShapeError("resize extents must be >= 1")
-    w = np.zeros((target, source))
-    if source == 1:
-        w[:, 0] = 1.0
-        return w
-    if target == 1:
-        w[0, 0] = 1.0
-        return w
-    for i in range(target):
-        pos = i * (source - 1) / (target - 1)
-        j0 = min(int(pos), source - 2)
-        frac = pos - j0
-        w[i, j0] = 1.0 - frac
-        w[i, j0 + 1] = frac
-    return w
-
-
-def linear_interp_resize(x, target):
-    """Resize the middle (joint) axis of a T x J x C tensor to `target` points.
-
-    Align-corners convention: output i samples source coordinate
-    i*(J-1)/(target-1); endpoints are preserved exactly and J = 1
-    broadcasts the single joint.
-    """
-    x = as_tensor(x)
-    if x.data.ndim != 3:
-        raise ShapeError(f"linear_interp_resize expects T x J x C, got {x.data.shape}")
-    w = resize_weights(x.data.shape[1], target)
-    out = _result(np.einsum("pj,tjc->tpc", w, x.data), (x,))
-    if out.requires_grad:
-        out._backward_fn = lambda g: _accumulate(x, np.einsum("pj,tpc->tjc", w, g))
     return out
 
 

@@ -255,8 +255,7 @@ def _format_row(row):
     return f"{epoch}\t{lr:.10g}\t{loss:.10g}\t{tacc:.10g}\t{vacc:.10g}"
 
 
-def train(model, train_set, cfg, val_set=None, stop_at_train_acc=None,
-          log_fn=None):
+def train(model, train_set, cfg, val_set=None, log_fn=None):
     """SGD/Nesterov training over prepared samples; deterministic per seed.
 
     Emits one metric row per epoch: (epoch, lr, train_loss, train_acc,
@@ -319,8 +318,6 @@ def train(model, train_set, cfg, val_set=None, stop_at_train_acc=None,
         log_lines.append(line)
         if log_fn is not None:
             log_fn(line)
-        if stop_at_train_acc is not None and train_acc >= stop_at_train_acc:
-            break
     return TrainResult(model=model, metrics=metrics, steps=steps, log_lines=log_lines)
 
 

@@ -26,7 +26,7 @@ from .graphs import (DistanceGraphConfig, InteractionGraphs, build_interaction_g
 from .model import ModelConfig, expected_param_count, init_params, itb_forward
 from .skeleton import (InteractionSample, SkeletonSequence, builtin_part_map,
                        read_canonical, write_canonical)
-from .spm import SpmConfig, partition, spm_forward
+from .spm import SpmConfig, conv_steps, patch_windows, spm_forward
 from .training import TrainConfig, lr_at, make_synth_dataset
 
 
@@ -62,8 +62,7 @@ def _gradcheck_cases():
         "broadcast_to": simple("broadcast_to", (1, 4), out_shape=(3, 4), extra=((3, 4),)),
         "mean_axis": simple("mean_axis", (4, 3, 2), out_shape=(4, 2), extra=(1,)),
         "slice_axis": simple("slice_axis", (4, 6), out_shape=(4, 3), extra=(1, 1, 4)),
-        "linear_interp_resize": simple("linear_interp_resize", (3, 4, 2),
-                                       out_shape=(3, 7, 2), extra=(7,)),
+        "sum_all": simple("sum_all", (3, 4), out_shape=()),
     }
 
     def concat_case(rng):
@@ -72,18 +71,13 @@ def _gradcheck_cases():
         return (lambda: (T.concat([a, b], axis=1) * w).sum()), [a, b]
     cases["concat"] = concat_case
 
-    def permute_case(rng):
-        x = _rand(rng, 5, 3)
-        perm = rng.permutation(5)
-        w = T.Tensor(rng.normal(size=(5, 3)))
-        return (lambda: (T.permute_rows(x, perm) * w).sum()), [x]
-    cases["permute_rows"] = permute_case
-
-    def conv_case(rng):
-        x, k, b = _rand(rng, 9, 3, 2), _rand(rng, 2, 3, 3, 2), _rand(rng, 2)
-        w = T.Tensor(rng.normal(size=(T.conv_steps(9, 3, 2, 1), 2)))
-        return (lambda: (T.conv2d(x, k, b, stride=2, padding=1) * w).sum()), [x, k, b]
-    cases["conv2d"] = conv_case
+    def projection_case(rng):
+        # 2 parts x 4 steps of 3 x 3 x 2 windows onto D=2
+        windows = rng.normal(size=(2, 4, 3, 3, 2))
+        k, b = _rand(rng, 2, 3, 3, 2), _rand(rng, 2)
+        w = T.Tensor(rng.normal(size=(8, 2)))
+        return (lambda: (T.project_patches(windows, k, b) * w).sum()), [k, b]
+    cases["project_patches"] = projection_case
 
     def ce_case(rng):
         x = _rand(rng, 3, 4)
@@ -173,6 +167,21 @@ def _brute_force_dsig(coords_a, coords_b, part_map, cfg, k):
     return dist, dsig
 
 
+def window_oracle(block, cfg, step, kernel, bias):
+    """Token of one (T, J, 3) part block at one step, in plain numpy: each
+    frame's joints resampled to P points by np.interp, then the zero-padded
+    window [step*stride - padding, +P) weighted by the kernel."""
+    t, j, _ = block.shape
+    grid = np.linspace(0.0, j - 1.0, cfg.P)
+    window = np.zeros((cfg.P, cfg.P, 3))
+    for i in range(cfg.P):
+        f = step * cfg.stride - cfg.padding + i
+        if 0 <= f < t:
+            for c in range(3):
+                window[i, :, c] = np.interp(grid, np.arange(j), block[f, :, c])
+    return (window[None] * kernel).sum(axis=(1, 2, 3)) + bias
+
+
 def _gimsa_params(rng, h, d, tied=False, requires_grad=False):
     def mat(*shape):
         return T.Tensor(rng.normal(scale=0.3, size=shape), requires_grad=requires_grad)
@@ -234,51 +243,53 @@ def _structural_checks():
 
     @check("tensor.resize.identity-when-sizes-match")
     def _():
+        # with P equal to a part's joint count, the part's windows (here
+        # back to back) are its raw frames
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 5, 3))
-        assert np.array_equal(T.linear_interp_resize(T.Tensor(x), 5).data, x)
+        seq = SkeletonSequence(rng.normal(size=(6, 15, 3)))
+        part_map = builtin_part_map(15)
+        windows = patch_windows(seq, part_map, SpmConfig(P=3, stride=3, padding=0, T=6))
+        for p, (_, idx) in enumerate(part_map.parts):
+            assert np.array_equal(windows[p].reshape(6, 3, 3), seq.coords[:, list(idx)])
 
     @check("spm.step-count-formula")
     def _():
-        # conv_steps, the conv's output length (with and without a channel
-        # axis), SpmConfig.L and a direct count of the windows on the
-        # zero-padded sequence agree over a random sweep
+        # conv_steps, SpmConfig.L, the number of patch windows and a direct
+        # count of the windows on the zero-padded sequence agree over a
+        # random sweep
         rng = np.random.default_rng(3)
-        for i in range(40):
+        part_map = builtin_part_map(15)
+        for _ in range(40):
             t = int(rng.integers(4, 64))
             p = int(rng.integers(1, min(t, 9) + 1))
             stride = int(rng.integers(1, 7))
             padding = int(rng.integers(0, 4))
-            want = T.conv_steps(t, p, stride, padding)
+            want = conv_steps(t, p, stride, padding)
             if want < 1:
                 continue
-            channels = (3,) if i % 2 else ()
-            out = T.conv2d(T.Tensor(rng.normal(size=(t, p, *channels))),
-                           T.Tensor(rng.normal(size=(2, p, p, *channels))),
-                           stride=stride, padding=padding)
+            cfg = SpmConfig(P=p, stride=stride, padding=padding, T=t)
+            windows = patch_windows(SkeletonSequence(rng.normal(size=(t, 15, 3))), part_map, cfg)
             padded = t + 2 * padding
             count = sum(1 for j in range(0, padded, stride) if j + p <= padded)
-            assert out.shape[0] == want == count
-            assert SpmConfig(P=p, stride=stride, padding=padding, T=t).L == want
-        out = T.conv2d(T.Tensor(np.zeros((256, 16, 3))), T.Tensor(np.zeros((4, 16, 16, 3))),
-                       stride=10, padding=2)
-        assert out.shape == (25, 4) and SpmConfig().L == 25
+            assert windows.shape[1] == cfg.L == want == count
+        seq = SkeletonSequence(np.zeros((256, 15, 3)))
+        windows = patch_windows(seq, part_map, SpmConfig())
+        assert windows.shape == (5, 25, 16, 16, 3) and SpmConfig().L == 25
 
     @check("spm.layout.time-major-roundtrip")
     def _():
         # tokens t*B..t*B+B-1 are the B per-part embeddings of step t
         rng = np.random.default_rng(4)
-        cfg = SpmConfig(P=4, stride=2, padding=0, T=12)
+        cfg = SpmConfig(P=4, stride=2, padding=1, T=12)
         part_map = builtin_part_map(15)
         kernel = T.Tensor(rng.normal(scale=0.1, size=(3, 4, 4, 3)))
-        bias = T.Tensor(np.zeros(3))
+        bias = T.Tensor(rng.normal(size=3))
         seq = SkeletonSequence(rng.normal(size=(12, 15, 3)))
         bpt = spm_forward(seq, part_map, cfg, kernel, bias)
-        for p, block in enumerate(partition(seq, part_map)):
-            resized = T.linear_interp_resize(T.Tensor(block), cfg.P)
-            y = T.conv2d(resized, kernel, bias, stride=cfg.stride, padding=cfg.padding)
+        for p, (_, idx) in enumerate(part_map.parts):
             for step in range(cfg.L):
-                assert np.array_equal(bpt.tokens.data[step * part_map.B + p], y.data[step])
+                want = window_oracle(seq.coords[:, list(idx)], cfg, step, kernel.data, bias.data)
+                assert np.allclose(bpt.tokens.data[step * part_map.B + p], want, atol=1e-12)
 
     @check("spm.shared-projection.parameter-count")
     def _():

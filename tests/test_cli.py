@@ -97,6 +97,14 @@ class TestPrepare:
         assert [p.name for p in out.glob("*.igf")] == ["a_b_S001C001P001R001A001.igf"]
         assert "is taken by an earlier input" in caplog.text
 
+    def test_k_outside_token_count_leaves_out_empty(self, tmp_path):
+        # the default geometry has M = 125 tokens per person
+        for k in ("0", "126"):
+            out = tmp_path / f"k{k}"
+            assert run("prepare", "--format", "synth", "--count", "4", "--k", k,
+                       "--out", str(out)) == 1
+            assert not out.exists()
+
     def test_bad_flag_exits_one(self):
         assert run("prepare", "--format", "bogus", "--out", "/tmp/x") == 1
 
@@ -260,6 +268,27 @@ class TestTrainEval:
                    str(run_dir / "checkpoint.igfc"), "--config", str(other_cfg),
                    "--out", str(tmp_path / "e2"))
         assert code == 1
+
+    def test_rejected_checkpoint_leaves_no_output(self, tmp_path, cfg_path):
+        # the checkpoint is checked before eval or inspect-graph writes
+        # anything into --out
+        data = prepare_tiny(tmp_path, cfg_path, count=4)
+        run_dir = tmp_path / "run"
+        assert run("train", "--data", str(data), "--config", cfg_path,
+                   "--out", str(run_dir)) == 0
+        blob = (run_dir / "checkpoint.igfc").read_bytes()
+        from igformer.config import architecture_digest, load_config
+        want = architecture_digest(load_config(cfg_path)).encode()
+        assert blob.count(want) == 1
+        bad = tmp_path / "zero-digest.igfc"
+        bad.write_bytes(blob.replace(want, b"0" * len(want)))
+        sample = sorted(data.glob("*.igf"))[0]
+        for command, source in (("eval", ("--data", str(data))),
+                                ("inspect-graph", ("--sample", str(sample)))):
+            out = tmp_path / command
+            assert run(command, *source, "--checkpoint", str(bad), "--config", cfg_path,
+                       "--out", str(out)) == 1
+            assert not out.exists()
 
     def test_itb_layers_flag(self, tmp_path, cfg_path):
         data = prepare_tiny(tmp_path, cfg_path)

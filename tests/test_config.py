@@ -58,3 +58,8 @@ def test_overrides_replace_file_values():
 def test_overrides_pass_the_dataclass_checks(overrides):
     with pytest.raises(ConfigError):
         cfgmod.parse_config(CONFIGS["desk"], overrides=overrides)
+
+
+def test_zero_neighbors_rejected():
+    with pytest.raises(ConfigError, match="k=0"):
+        cfgmod.parse_config("[dsig]\nk = 0\n")

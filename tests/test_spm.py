@@ -8,6 +8,7 @@ import igformer.tensor as T
 from igformer import spm
 from igformer.errors import ConfigError
 from igformer.skeleton import BodyPartMap, SkeletonSequence, builtin_part_map
+from igformer.verify import window_oracle
 
 
 def make_seq(rng, t=16, j=15):
@@ -61,13 +62,12 @@ class TestGeometry:
             p = int(rng.integers(2, 8))
             stride = int(rng.integers(1, 7))
             padding = int(rng.integers(0, p))  # keep clipped windows nonempty
-            if T.conv_steps(t, p, stride, padding) < 1:
+            if spm.conv_steps(t, p, stride, padding) < 1:
                 continue
             cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, T=t)
-            x = T.Tensor(rng.normal(size=(t, p, 3)))
-            k = T.Tensor(rng.normal(size=(2, p, p, 3)))
-            out = T.conv2d(x, k, stride=stride, padding=padding)
-            assert out.shape[0] == cfg.L
+            part_map, kernel, bias = tiny_setup(rng, cfg, D=2)
+            bpt = spm.spm_forward(make_seq(rng, t=t), part_map, cfg, kernel, bias)
+            assert bpt.tokens.shape[0] == part_map.B * cfg.L
 
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
@@ -102,20 +102,14 @@ class TestForward:
     def test_single_part_single_window(self):
         rng = np.random.default_rng(7)
         cfg = spm.SpmConfig(P=4, stride=1, padding=0, T=4)
-        part_map = BodyPartMap((("left_arm", (0, 1)), ("right_arm", (2,)),
-                                ("left_leg", (3,)), ("right_leg", (4,)),
-                                ("torso", (5,))), joint_count=6)
         one_part = BodyPartMap((("all", tuple(range(6))),), joint_count=6)
         seq = SkeletonSequence(rng.normal(size=(4, 6, 3)))
         kernel = T.Tensor(rng.normal(size=(2, 4, 4, 3)))
         bias = T.Tensor(rng.normal(size=2))
         bpt = spm.spm_forward(seq, one_part, cfg, kernel, bias)
         assert bpt.M == 1
-        # hand-unrolled convolution of the whole resized window
-        resized = T.linear_interp_resize(T.Tensor(seq.coords), 4).data
-        want = np.einsum("pqc,dpqc->d", resized, kernel.data) + bias.data
+        want = window_oracle(seq.coords, cfg, 0, kernel.data, bias.data)
         assert np.allclose(bpt.tokens.data[0], want, atol=1e-12)
-        del part_map
 
     def test_projection_shared_across_parts_and_persons(self):
         # a single kernel/bias pair receives gradient from every part of both persons
@@ -130,6 +124,14 @@ class TestForward:
         assert kernel.grad is not None and np.abs(kernel.grad).max() > 0
         # gradient of sum wrt bias counts every token of both persons
         assert np.allclose(bias.grad, np.full(3, 2 * out_a.M))
+
+    def test_one_tape_node_between_projection_and_tokens(self):
+        rng = np.random.default_rng(11)
+        cfg = spm.SpmConfig(P=4, stride=4, padding=0, T=8)
+        part_map, kernel, bias = tiny_setup(rng, cfg, D=3)
+        tokens = spm.spm_forward(make_seq(rng, t=8), part_map, cfg, kernel, bias).tokens
+        assert tokens.requires_grad
+        assert [id(p) for p in tokens._parents] == [id(kernel), id(bias)]
 
     def test_unpadded_sequence_rejected(self):
         rng = np.random.default_rng(10)

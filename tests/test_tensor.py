@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import igformer.tensor as T
+from igformer import spm
 from igformer.errors import ConfigError, NumericError, ShapeError, UsageError
 from igformer.gradcheck import numeric_grad
+from igformer.skeleton import BodyPartMap, SkeletonSequence
 
 
 def matmul_oracle(a, b):
@@ -100,27 +102,42 @@ class TestLayerNorm:
             T.layer_norm(T.Tensor([[1.0]]), T.Tensor([1.0]), T.Tensor([0.0]), eps=0.0)
 
 
+def one_part_windows(coords, cfg):
+    # the tokenizer's windows of a single part holding every joint
+    part_map = BodyPartMap((("all", tuple(range(coords.shape[1]))),),
+                           joint_count=coords.shape[1])
+    return spm.patch_windows(SkeletonSequence(coords), part_map, cfg)
+
+
+def resize(x, target):
+    # the tokenizer's joint-axis resize of a T x J x C block
+    return np.einsum("pj,tjc->tpc", spm.resize_weights(x.shape[1], target), x)
+
+
 class TestConv2d:
+    """The tokenizer's temporal patch projection (windows + `project_patches`)."""
+
     def test_single_valid_window(self):
-        x = np.zeros((16, 16))
-        k = np.zeros((3, 16, 16))
-        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=1, padding=0)
+        cfg = spm.SpmConfig(P=16, stride=1, padding=0, T=16)
+        windows = one_part_windows(np.zeros((16, 16, 3)), cfg)
+        out = T.project_patches(windows, T.Tensor(np.zeros((3, 16, 16, 3))),
+                                T.Tensor(np.zeros(3)))
         assert out.data.shape == (1, 3)
 
     def test_default_geometry_gives_25_steps(self):
-        assert T.conv_steps(256, 16, 10, 2) == 25
-        x = np.zeros((256, 16, 3))
-        k = np.zeros((4, 16, 16, 3))
-        out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=10, padding=2)
+        assert spm.conv_steps(256, 16, 10, 2) == 25
+        windows = one_part_windows(np.zeros((256, 16, 3)), spm.SpmConfig())
+        out = T.project_patches(windows, T.Tensor(np.zeros((4, 16, 16, 3))),
+                                T.Tensor(np.zeros(4)))
         assert out.data.shape == (25, 4)
 
     def test_hand_unrolled_window_sums(self):
-        # all-ones 4x2 input, all-ones 1x2x2 kernel: three windows of sum 4
-        x = np.ones((4, 2))
-        k = np.ones((1, 2, 2))
-        out = T.conv2d(T.Tensor(x), T.Tensor(k), bias=T.Tensor(np.zeros(1)),
-                       stride=1, padding=0)
-        assert np.array_equal(out.data, np.array([[4.0], [4.0], [4.0]]))
+        # all-ones 4-frame, 2-joint input, all-ones 1x2x2x3 kernel: three
+        # windows of 2*2*3 ones each
+        cfg = spm.SpmConfig(P=2, stride=1, padding=0, T=4)
+        windows = one_part_windows(np.ones((4, 2, 3)), cfg)
+        out = T.project_patches(windows, T.Tensor(np.ones((1, 2, 2, 3))), T.Tensor(np.zeros(1)))
+        assert np.array_equal(out.data, np.array([[12.0], [12.0], [12.0]]))
 
     def test_step_count_formula_matches_windows(self):
         rng = np.random.default_rng(3)
@@ -129,52 +146,53 @@ class TestConv2d:
             p = int(rng.integers(1, min(t, 9) + 1))
             stride = int(rng.integers(1, 6))
             padding = int(rng.integers(0, 4))
-            want = T.conv_steps(t, p, stride, padding)
+            want = spm.conv_steps(t, p, stride, padding)
             if want < 1:
                 continue
-            x = rng.normal(size=(t, p))
-            k = rng.normal(size=(2, p, p))
-            out = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=padding)
+            cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, T=t)
+            windows = one_part_windows(rng.normal(size=(t, p, 3)), cfg)
             # enumerate the windows directly on the padded sequence
-            xpad = np.pad(x, ((padding, padding), (0, 0)))
+            xpad = np.pad(np.zeros((t, p)), ((padding, padding), (0, 0)))
             count = sum(1 for j in range(xpad.shape[0])
                         if j % stride == 0 and j + p <= xpad.shape[0])
-            assert out.data.shape[0] == want == count
+            assert windows.shape[1] == want == count
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigError):
-            T.conv2d(T.Tensor(np.zeros((2, 8))), T.Tensor(np.zeros((1, 8, 8))),
-                     stride=1, padding=0)
+            spm.SpmConfig(P=8, stride=1, padding=0, T=2)
+
+    def test_windows_must_fit_kernel(self):
+        with pytest.raises(ShapeError):
+            T.project_patches(np.zeros((1, 2, 4, 4, 3)), T.Tensor(np.zeros((2, 8, 8, 3))),
+                              T.Tensor(np.zeros(2)))
 
 
 class TestResize:
     def test_two_point_ramp(self):
         x = np.array([0.0, 1.0]).reshape(1, 2, 1)
-        out = T.linear_interp_resize(T.Tensor(x), 4)
-        assert np.allclose(out.data[0, :, 0], [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-15)
+        out = resize(x, 4)
+        assert np.allclose(out[0, :, 0], [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-15)
 
     def test_midpoint_insertion(self):
         x = np.array([0.0, 1.0, 2.0]).reshape(1, 3, 1)
-        out = T.linear_interp_resize(T.Tensor(x), 5)
-        assert np.allclose(out.data[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-15)
+        out = resize(x, 5)
+        assert np.allclose(out[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0], atol=1e-15)
 
     def test_identity_when_sizes_match(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 4, 3))
-        out = T.linear_interp_resize(T.Tensor(x), 4)
-        assert np.array_equal(out.data, x)
+        assert np.array_equal(resize(x, 4), x)
 
     def test_single_joint_broadcasts(self):
         x = np.array([7.0]).reshape(1, 1, 1)
-        out = T.linear_interp_resize(T.Tensor(x), 5)
-        assert np.array_equal(out.data[0, :, 0], np.full(5, 7.0))
+        assert np.array_equal(resize(x, 5)[0, :, 0], np.full(5, 7.0))
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 6, 3))
-        out = T.linear_interp_resize(T.Tensor(x), 9)
-        assert np.array_equal(out.data[:, 0], x[:, 0])
-        assert np.array_equal(out.data[:, -1], x[:, -1])
+        out = resize(x, 9)
+        assert np.array_equal(out[:, 0], x[:, 0])
+        assert np.array_equal(out[:, -1], x[:, -1])
 
 
 class TestCrossEntropy:
