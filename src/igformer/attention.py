@@ -19,6 +19,7 @@ from . import tensor as T
 from .errors import ConfigError, ShapeError
 
 MODES = ("full", "sdig_only", "dsig_only", "no_gimsa")
+SCALE_MODES = ("per_head", "full_dim")
 
 
 @dataclass
@@ -75,11 +76,10 @@ def fuse_graphs(dsig_const, sdig_logits, alpha):
 
 
 def head_scale(d, D, scale_mode):
-    if scale_mode == "per_head":
-        return math.sqrt(d)
-    if scale_mode == "full_dim":
-        return math.sqrt(D)
-    raise ConfigError(f"unknown scale mode {scale_mode!r}")
+    """Attention logit divisor: sqrt of the head width or of the full width."""
+    if scale_mode not in SCALE_MODES:
+        raise ConfigError(f"unknown scale mode {scale_mode!r}")
+    return math.sqrt(d if scale_mode == "per_head" else D)
 
 
 def gi_sa(h_me, h_ne, graphs, wq, wk, wv, alpha, B, L, scale,

@@ -188,11 +188,14 @@ def _sample_name(path, root):
 
 
 def _write_sample(out, stem, sample, cfg):
-    padded = skel.pad_sample(sample, cfg.spm.T)
-    part_map = skel.builtin_part_map(padded.person_a.J)
-    graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
+    graphs = tr.prepare_sample(sample, cfg.spm, cfg.dsig.k).graphs
     (out / f"{stem}.igf").write_bytes(skel.write_canonical(sample))
     (out / f"{stem}.igfd").write_bytes(gmod.write_sidecar(graphs))
+
+
+def _read(reader, path):
+    with open(path, "rb") as fh:
+        return reader(fh)
 
 
 def cmd_prepare(args):
@@ -204,8 +207,8 @@ def cmd_prepare(args):
     if cfg.dsig.k > m:
         raise ConfigError(f"k={cfg.dsig.k} outside 1..{m}")
     if any(Path(args.out).glob("*.igf")) and not _sidecars_fit(args.out, cfg):
-        raise ConfigError(f"{args.out} holds samples prepared with other window geometry "
-                          f"or k; prepare into an empty directory")
+        raise ConfigError(f"{args.out} holds samples prepared with other [spm] or [dsig] "
+                          f"settings; prepare into an empty directory")
     out = _write_manifest(args, cfg, inputs)
     written = 0
     failures = 0
@@ -247,20 +250,14 @@ def cmd_prepare(args):
     return 0
 
 
-# what a sidecar's graphs depend on besides the coordinates
-_GRAPH_SETTINGS = (("spm", "T"), ("spm", "P"), ("spm", "stride"), ("spm", "padding"),
-                   ("dsig", "k"))
-
-
 def _sidecars_fit(data_dir, cfg):
-    """Whether the manifest `prepare` left in `data_dir` records the graph
-    settings of `cfg`, so the directory's .igfd sidecars hold its graphs."""
+    """Whether the manifest `prepare` left in `data_dir` records the [spm] and [dsig]
+    sections of `cfg`, all that its .igfd sidecars depend on besides the coordinates."""
     current = cfgmod.to_sections(cfg)
     try:
         with open(Path(data_dir) / "manifest.json", "r", encoding="utf-8") as fh:
             recorded = json.load(fh)["config"]
-        return all(recorded[section][key] == current[section][key]
-                   for section, key in _GRAPH_SETTINGS)
+        return all(recorded[section] == current[section] for section in ("spm", "dsig"))
     except (OSError, ValueError, KeyError, TypeError):
         return False
 
@@ -272,23 +269,20 @@ def _load_prepared(data_dir, cfg):
     trust_sidecars = _sidecars_fit(data_dir, cfg)
     if not trust_sidecars:
         log.info("rebuilding graphs: %s/manifest.json does not record this config's "
-                 "window geometry and k", data_dir)
+                 "[spm] and [dsig] sections", data_dir)
     prepared = []
     part_map = None
     for path in files:
-        sample = skel.read_canonical(path.read_bytes())
-        padded = skel.pad_sample(sample, cfg.spm.T)
+        sample = _read(skel.read_canonical, path)
         if part_map is None:
-            part_map = skel.builtin_part_map(padded.person_a.J)
+            part_map = skel.builtin_part_map(sample.person_a.J)
         graphs = None
         sidecar = path.with_suffix(".igfd")
         if trust_sidecars and sidecar.exists():
-            m, k, ab, ba = gmod.read_sidecar(sidecar.read_bytes())
+            m, k, ab, ba = _read(gmod.read_sidecar, sidecar)
             if m == cfg.spm.M(part_map.B) and k == cfg.dsig.k:
                 graphs = gmod.InteractionGraphs(None, None, ab, ba, k)
-        if graphs is None:
-            graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
-        prepared.append(tr.PreparedSample(padded, graphs))
+        prepared.append(tr.prepare_sample(sample, cfg.spm, cfg.dsig.k, part_map, graphs))
     labels = sorted({p.label for p in prepared})
     if labels and labels[-1] >= cfg.model.num_classes:
         raise ConfigError(f"label {labels[-1]} needs num_classes > {labels[-1]}, "
@@ -321,8 +315,7 @@ def cmd_train(args):
 
 def _load_model(checkpoint_path, cfg, part_map):
     """The checkpoint's model, built from its arrays alone (no random init)."""
-    with open(checkpoint_path, "rb") as fh:
-        digest, params = mmod.load_checkpoint(fh)
+    digest, params = _read(mmod.load_checkpoint, checkpoint_path)
     want = cfgmod.architecture_digest(cfg)
     if digest != want:
         raise ConfigError(f"checkpoint digest {digest} does not match the "
@@ -346,17 +339,17 @@ def cmd_eval(args):
 
 def cmd_inspect_graph(args):
     cfg = _resolve_config(args)
-    sample = skel.read_canonical(Path(args.sample).read_bytes())
-    padded = skel.pad_sample(sample, cfg.spm.T)
-    part_map = skel.builtin_part_map(padded.person_a.J)
+    sample = _read(skel.read_canonical, args.sample)
+    part_map = skel.builtin_part_map(sample.person_a.J)
     if not 0 <= args.itb < cfg.model.N:
         raise ConfigError(f"--itb must be in 0..{cfg.model.N - 1}")
     model = _load_model(args.checkpoint, cfg, part_map)
-    graphs = gmod.build_interaction_graphs(padded, part_map, cfg.spm, cfg.dsig.k)
+    prepared = tr.prepare_sample(sample, cfg.spm, cfg.dsig.k, part_map)
+    graphs = prepared.graphs
     out = _write_manifest(args, cfg, [args.sample, args.checkpoint])
     collect = {}
     with model.inference():
-        model.forward(padded, graphs, collect=collect)
+        model.forward(prepared.sample, graphs, collect=collect)
     block = collect[f"itb{args.itb}"]
 
     def dump(name, matrix):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, unpack
+from .errors import ConfigError, Reader
 
 SIDECAR_MAGIC = b"IGFD"
 
@@ -142,15 +142,12 @@ def write_sidecar(graphs):
     return buf.getvalue()
 
 
-def read_sidecar(data):
-    """Returns (M, k, dsig_ab, dsig_ba); distance matrices are not stored."""
-    if data[:4] != SIDECAR_MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {SIDECAR_MAGIC!r}")
-    m, k = unpack("<II", data, 4, "sidecar header")
-    nbytes = (m * m + 7) // 8
-    if len(data) != 12 + 2 * nbytes:
-        raise ParseError(f"sidecar length {len(data)} != expected {12 + 2 * nbytes}")
-    def graph_at(off):
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off))
-        return bits[:m * m].reshape(m, m).astype(np.float64)
-    return m, k, graph_at(12), graph_at(12 + nbytes)
+def read_sidecar(fh):
+    """Returns (M, k, dsig_ab, dsig_ba) read from the binary file object `fh`;
+    distance matrices are not stored."""
+    r = Reader(fh, SIDECAR_MAGIC)
+    m, k = r.unpack("<II", "sidecar header")
+    packed = r.array((2, (m * m + 7) // 8), np.uint8, "DSIG bits")
+    r.end("sidecar")
+    ab, ba = (np.unpackbits(bits)[:m * m].reshape(m, m).astype(np.float64) for bits in packed)
+    return m, k, ab, ba

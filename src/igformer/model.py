@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import MODES, GiMsaParams, gi_msa
-from .errors import ConfigError, ParseError, ShapeError, decode_utf8
+from .attention import MODES, SCALE_MODES, GiMsaParams, gi_msa
+from .errors import ConfigError, ParseError, Reader, ShapeError
 from .graphs import DistanceGraphConfig
 from .skeleton import builtin_part_map
 from .spm import SpmConfig, add_positional, spm_forward
@@ -41,7 +41,7 @@ class ModelConfig:
     h: int = 12
     N: int = 3
     mode: str = "full"
-    scale_mode: str = "per_head"   # or "full_dim"
+    scale_mode: str = "per_head"   # one of attention.SCALE_MODES
     dropout: float = 0.0
     tie_person_branches: bool = False
     spm: SpmConfig = None
@@ -54,10 +54,12 @@ class ModelConfig:
             raise ConfigError("need at least one interaction block")
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
-        if self.D % self.h:
-            raise ConfigError(f"hidden size {self.D} not divisible by {self.h} heads")
+        if self.D < 1 or self.h < 1 or self.D % self.h:
+            raise ConfigError(f"hidden size {self.D} does not split into {self.h} heads")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
+        if self.scale_mode not in SCALE_MODES:
+            raise ConfigError(f"scale_mode must be one of {SCALE_MODES}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
 
@@ -414,51 +416,18 @@ def save_checkpoint(model, digest):
 
 def load_checkpoint(fh):
     """Returns (digest, {name: array}) read from the binary file object `fh`
-    (wrap bytes in io.BytesIO). Each array is read straight into its own
-    buffer, so the file is never held whole. ParseError for input that
-    does not follow the layout, truncated input included; every length is
-    checked against the bytes left before anything is read or allocated."""
-    start = fh.tell()
-    size = fh.seek(0, io.SEEK_END) - start
-    fh.seek(start)
-    off = 0
-
-    def claim(n, what):
-        """Advance past the next n bytes; ParseError when the file ends before them."""
-        nonlocal off
-        if off + n > size:
-            raise ParseError(f"file ends inside {what}: {n} bytes needed at offset "
-                             f"{off}, {size} bytes in file")
-        off += n
-
-    def read(n, what):
-        claim(n, what)
-        return fh.read(n)
-
-    def unpack(fmt, what):
-        return struct.unpack(fmt, read(struct.calcsize(fmt), what))
-
-    magic = read(min(4, size), "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise ParseError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (dlen,) = unpack("<I", "digest length")
-    digest = decode_utf8(read(dlen, "digest"), "digest")
-    (count,) = unpack("<I", "parameter count")
+    (wrap bytes in io.BytesIO), each array straight into its own buffer."""
+    r = Reader(fh, CHECKPOINT_MAGIC)
+    digest = r.text(*r.unpack("<I", "digest length"), "digest")
+    (count,) = r.unpack("<I", "parameter count")
     params = {}
     for _ in range(count):
-        (nlen,) = unpack("<I", "parameter name length")
-        name = decode_utf8(read(nlen, "parameter name"), "parameter name")
+        name = r.text(*r.unpack("<I", "parameter name length"), "parameter name")
         if name in params:
             raise ParseError(f"parameter {name!r} appears twice")
-        (rank,) = unpack("<I", f"{name} rank")
+        (rank,) = r.unpack("<I", f"{name} rank")
         if rank > MAX_RANK:
             raise ParseError(f"{name} has rank {rank}, more than {MAX_RANK}")
-        shape = unpack(f"<{rank}I", f"{name} shape")
-        claim(8 * math.prod(shape), f"{name} data")
-        arr = np.empty(shape, dtype="<f8")
-        if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-            raise ParseError(f"file shrank while reading {name} data")
-        params[name] = arr
-    if off != size:
-        raise ParseError(f"{size - off} trailing bytes in checkpoint")
+        params[name] = r.array(r.unpack(f"<{rank}I", f"{name} shape"), "<f8", f"{name} data")
+    r.end("checkpoint")
     return digest, params

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, decode_utf8, need, unpack
+from .errors import ConfigError, ParseError, Reader, decode_utf8
 
 log = logging.getLogger("igformer")
 
@@ -355,20 +355,14 @@ def write_canonical(sample):
     return buf.getvalue()
 
 
-def read_canonical(data):
-    """Parse canonical bytes back into an InteractionSample (bit-exact coords)."""
-    if data[:4] != CANONICAL_MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {CANONICAL_MAGIC!r}")
-    j, t, label, sid_len = unpack("<IIiI", data, 4, "sample header")
-    off = 4 + 16
-    need(data, off, sid_len, "source id")
-    source_id = decode_utf8(data[off:off + sid_len], "source id")
-    off += sid_len
-    block = t * j * 3 * 8
-    if len(data) != off + 2 * block:
-        raise ParseError(f"payload length {len(data) - off} != expected {2 * block}")
-    a = np.frombuffer(data, dtype="<f8", count=t * j * 3, offset=off).reshape(t, j, 3)
-    b = np.frombuffer(data, dtype="<f8", count=t * j * 3, offset=off + block).reshape(t, j, 3)
-    return InteractionSample(SkeletonSequence(a.copy(), person_index=0),
-                             SkeletonSequence(b.copy(), person_index=1),
+def read_canonical(fh):
+    """Parse canonical bytes from the binary file object `fh` back into an
+    InteractionSample (bit-exact coords); ParseError for any other layout."""
+    r = Reader(fh, CANONICAL_MAGIC)
+    j, t, label, sid_len = r.unpack("<IIiI", "sample header")
+    source_id = r.text(sid_len, "source id")
+    a, b = r.array((2, t, j, 3), "<f8", "coordinates")
+    r.end("sample")
+    return InteractionSample(SkeletonSequence(a, person_index=0),
+                             SkeletonSequence(b, person_index=1),
                              label=label, source_id=source_id)

@@ -112,18 +112,18 @@ def partition(seq, part_map):
 
 
 def patch_windows(seq, part_map, cfg):
-    """The (B, L, P, P, 3) windows of one person: each part's joints resized
-    to P, zero-padded in time, and cut at `cfg.window_starts`."""
+    """The (B, L, P, P, 3) windows of one person at the default dtype: each
+    part's joints resized to P, zero-padded in time, and cut at
+    `cfg.window_starts`."""
     if seq.T != cfg.T:
         raise ConfigError(f"sequence has {seq.T} frames, config expects {cfg.T}; pad first")
     padded = np.zeros((part_map.B, cfg.T + 2 * cfg.padding, cfg.P, 3))
     for resized, block in zip(padded[:, cfg.padding:cfg.padding + cfg.T],
                               partition(seq, part_map)):
-        # coordinates enter at the default dtype, as tensor data would
-        block = block.astype(T.default_dtype(), copy=False)
         resized[:] = np.einsum("pj,tjc->tpc", resize_weights(block.shape[1], cfg.P), block)
     frames = cfg.window_starts[:, None] + cfg.padding + np.arange(cfg.P)  # (L, P), padded
-    return np.take(padded, frames, axis=1)  # C-contiguous, which padded[:, frames] is not
+    windows = np.take(padded, frames, axis=1)  # C-contiguous, which padded[:, frames] is not
+    return windows.astype(T.default_dtype(), copy=False)
 
 
 def spm_forward(seq, part_map, cfg, kernel, bias):

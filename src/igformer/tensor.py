@@ -10,10 +10,8 @@ the reachable subgraph by stamp descending is the reverse of the order in
 which the ops ran).
 
 Default precision is float64 so finite-difference checks are meaningful.
-``set_default_dtype(np.float32)`` only changes the dtype of tensors built
-from new data: model parameters (and hence their gradients) become float32,
-but the tokenizer's resize weights are float64, so the tokens, the rest of
-the forward pass, the logits and the loss still compute in float64.
+Under ``set_default_dtype(np.float32)`` the parameters, the tokenizer's
+patch windows, and so every token, logit, loss and gradient are float32.
 """
 
 from __future__ import annotations
@@ -35,10 +33,8 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def set_default_dtype(dtype):
     """Set the float width of tensors built from new data (float64 or float32).
-
     Results of ops follow numpy's type promotion, so any float64 operand
-    (such as the tokenizer's patch windows) makes them float64.
-    """
+    makes them float64."""
     global _dtype
     dt = np.dtype(dtype)
     if dt not in (np.dtype(np.float64), np.dtype(np.float32)):

@@ -19,7 +19,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, NumericError, TrainingDiverged
 from .graphs import build_interaction_graphs
-from .skeleton import InteractionSample, SkeletonSequence, add_joint_noise, pad_sample
+from .skeleton import (InteractionSample, SkeletonSequence, add_joint_noise, builtin_part_map,
+                       pad_sample)
 
 SYNTH_CLASSES = ("approach", "depart", "right_hand_shake", "right_leg_kick")
 
@@ -177,8 +178,8 @@ class TrainConfig:
 
     def __post_init__(self):
         self.milestones = tuple(self.milestones)
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        if self.lr <= 0 or self.lr_decay <= 0:
+            raise ConfigError("lr and lr_decay must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if list(self.milestones) != sorted(set(self.milestones)):
@@ -209,13 +210,20 @@ class PreparedSample:
         return self.sample.label
 
 
+def prepare_sample(sample, spm_cfg, k, part_map=None, graphs=None):
+    """The model input of one sample: padded to the tokenizer's frame count,
+    with `graphs`, or else its distance graphs under `part_map` (by default
+    the built-in map for the sample's joint count)."""
+    padded = pad_sample(sample, spm_cfg.T)
+    if graphs is None:
+        part_map = part_map or builtin_part_map(padded.person_a.J)
+        graphs = build_interaction_graphs(padded, part_map, spm_cfg, k)
+    return PreparedSample(padded, graphs)
+
+
 def prepare_dataset(samples, part_map, spm_cfg, k):
     """Pad to the tokenizer frame count and precompute distance graphs."""
-    out = []
-    for s in samples:
-        padded = pad_sample(s, spm_cfg.T)
-        out.append(PreparedSample(padded, build_interaction_graphs(padded, part_map, spm_cfg, k)))
-    return out
+    return [prepare_sample(s, spm_cfg, k, part_map) for s in samples]
 
 
 def corrupt(prepared, sigma, rng_seed, part_map, spm_cfg, k):
@@ -227,7 +235,7 @@ def corrupt(prepared, sigma, rng_seed, part_map, spm_cfg, k):
     noisy = InteractionSample(add_joint_noise(s.person_a, sigma, rng_seed=base + (0,)),
                               add_joint_noise(s.person_b, sigma, rng_seed=base + (1,)),
                               label=s.label, source_id=s.source_id)
-    return PreparedSample(noisy, build_interaction_graphs(noisy, part_map, spm_cfg, k))
+    return prepare_sample(noisy, spm_cfg, k, part_map)
 
 
 @dataclass

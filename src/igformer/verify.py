@@ -12,6 +12,7 @@ harness).
 
 from __future__ import annotations
 
+import io
 import math
 import zlib
 
@@ -254,9 +255,9 @@ def _structural_checks():
 
     @check("spm.step-count-formula")
     def _():
-        # conv_steps, SpmConfig.L, the number of patch windows and a direct
-        # count of the windows on the zero-padded sequence agree over a
-        # random sweep
+        # conv_steps, SpmConfig.L, the number of patch windows, a direct
+        # count of the windows on the zero-padded sequence and the B*L
+        # tokens of spm_forward agree over a random sweep
         rng = np.random.default_rng(3)
         part_map = builtin_part_map(15)
         for _ in range(40):
@@ -268,13 +269,18 @@ def _structural_checks():
             if want < 1:
                 continue
             cfg = SpmConfig(P=p, stride=stride, padding=padding, T=t)
-            windows = patch_windows(SkeletonSequence(rng.normal(size=(t, 15, 3))), part_map, cfg)
+            seq = SkeletonSequence(rng.normal(size=(t, 15, 3)))
+            windows = patch_windows(seq, part_map, cfg)
             padded = t + 2 * padding
             count = sum(1 for j in range(0, padded, stride) if j + p <= padded)
             assert windows.shape[1] == cfg.L == want == count
-        seq = SkeletonSequence(np.zeros((256, 15, 3)))
-        windows = patch_windows(seq, part_map, SpmConfig())
+            bpt = spm_forward(seq, part_map, cfg, np.zeros((2, p, p, 3)), np.zeros(2))
+            assert bpt.tokens.shape == (part_map.B * cfg.L, 2)
+        # at the default geometry each part has 25 windows, projected to 25 tokens
+        windows = patch_windows(SkeletonSequence(np.zeros((256, 15, 3))), part_map, SpmConfig())
+        one_part = T.project_patches(windows[:1], np.zeros((4, 16, 16, 3)), np.zeros(4))
         assert windows.shape == (5, 25, 16, 16, 3) and SpmConfig().L == 25
+        assert one_part.shape == (25, 4)
 
     @check("spm.layout.time-major-roundtrip")
     def _():
@@ -473,7 +479,7 @@ def _structural_checks():
                                    SkeletonSequence(rng.normal(size=(5, 15, 3))),
                                    label=3, source_id="verify")
         blob = write_canonical(sample)
-        back = read_canonical(blob)
+        back = read_canonical(io.BytesIO(blob))
         assert np.array_equal(back.person_a.coords, sample.person_a.coords)
         assert np.array_equal(back.person_b.coords, sample.person_b.coords)
         assert (back.label, back.source_id) == (3, "verify")
@@ -484,7 +490,7 @@ def _structural_checks():
         rng = np.random.default_rng(18)
         g = build_interaction_graphs(_random_sample(rng, _GRAPH_SPM.T), builtin_part_map(15),
                                      _GRAPH_SPM, k=5)
-        m, k, ab, ba = read_sidecar(write_sidecar(g))
+        m, k, ab, ba = read_sidecar(io.BytesIO(write_sidecar(g)))
         assert (m, k) == (g.M, 5)
         assert np.array_equal(ab, g.dsig_ab) and np.array_equal(ba, g.dsig_ba)
 

@@ -1,17 +1,25 @@
 """CLI: exit codes, manifests, prepare/train/eval/inspect-graph round trips."""
 
+import io
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import TINY_CONFIG
 from igformer import attention
 from igformer.cli import _command_line, build_parser, main
+from igformer.skeleton import read_canonical
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def read_sample(path):
+    with open(path, "rb") as fh:
+        return read_canonical(fh)
 
 
 def prepare_tiny(tmp_path, cfg_path, count=8, out_name="data"):
@@ -30,8 +38,7 @@ class TestPrepare:
         assert len(list(out.glob("*.igfd"))) == 8
         assert (out / "manifest.json").exists()
         assert "prepared 8 samples" in capsys.readouterr().out
-        from igformer.skeleton import read_canonical
-        labels = [read_canonical(p.read_bytes()).label for p in sorted(out.glob("*.igf"))]
+        labels = [read_sample(p).label for p in sorted(out.glob("*.igf"))]
         assert sorted(labels) == [0, 0, 1, 1, 2, 2, 3, 3]
 
     def test_missing_input_dir_is_user_error(self, tmp_path, cfg_path):
@@ -60,8 +67,7 @@ class TestPrepare:
                    "--config", cfg_path, "--out", str(out))
         assert code == 0
         assert len(list(out.glob("*.igf"))) == 2
-        from igformer.skeleton import read_canonical
-        labels = {read_canonical(p.read_bytes()).label for p in out.glob("*.igf")}
+        labels = {read_sample(p).label for p in out.glob("*.igf")}
         assert labels == {49, 50}  # parsed from the Axxx filename field
 
     def test_sbu_files_of_one_name_stay_apart(self, tmp_path, cfg_path):
@@ -73,8 +79,7 @@ class TestPrepare:
         out = tmp_path / "out"
         assert run("prepare", "--format", "sbu", "--input", str(raw),
                    "--config", cfg_path, "--out", str(out)) == 0
-        from igformer.skeleton import read_canonical
-        written = {p.name: read_canonical(p.read_bytes()) for p in sorted(out.glob("*.igf"))}
+        written = {p.name: read_sample(p) for p in sorted(out.glob("*.igf"))}
         assert {name: s.label for name, s in written.items()} == {
             f"s01s02_{c + 1:02d}_001_skeleton_pos.igf": c for c in range(3)}
         assert [s.source_id for s in written.values()] == [
@@ -308,6 +313,21 @@ class TestTrainEval:
                        "--out", str(out), flag, value) == 1
             assert not out.exists()
 
+    @pytest.mark.parametrize("edit, reason", [
+        (("h = 2", "h = 0"), "heads"), (("D = 8", "D = -4"), "heads"),
+        (("[model]", "[model]\nscale_mode = bogus"), "scale_mode"),
+        (("milestones =", "milestones = 1\nlr_decay = 0"), "lr_decay")],
+        ids=["zero-heads", "negative-D", "unknown-scale-mode", "zero-lr-decay"])
+    def test_out_of_range_setting_exits_one_before_writing(self, tmp_path, cfg_path, capsys,
+                                                          edit, reason):
+        data = prepare_tiny(tmp_path, cfg_path, count=4)
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY_CONFIG.replace(*edit))
+        out = tmp_path / "out"
+        assert run("train", "--data", str(data), "--config", str(bad), "--out", str(out)) == 1
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_parse_error_exits_one(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[model]\nN = banana\n")
@@ -411,30 +431,30 @@ class TestSidecarReuse:
             assert np.array_equal(p.graphs.dsig_ba, fresh.dsig_ba)
 
     def test_matching_config_reads_sidecars(self, tmp_path, monkeypatch):
-        from igformer import cli, config as cfgmod, graphs as gmod
+        from igformer import cli, config as cfgmod, graphs as gmod, training
         data = self.prepare(tmp_path, P=8, T=64)
         cfg = cfgmod.parse_config(self.GEOMETRY.format(P=8, T=64))
         builds = []
-        monkeypatch.setattr(gmod, "build_interaction_graphs",
+        monkeypatch.setattr(training, "build_interaction_graphs",
                             lambda *args: builds.append(args))
         prepared, _ = cli._load_prepared(data, cfg)
         assert builds == []
         for p, sidecar in zip(prepared, sorted(data.glob("*.igfd"))):
-            _, _, ab, ba = gmod.read_sidecar(sidecar.read_bytes())
+            _, _, ab, ba = gmod.read_sidecar(io.BytesIO(sidecar.read_bytes()))
             assert np.array_equal(p.graphs.dsig_ab, ab) and np.array_equal(p.graphs.dsig_ba, ba)
 
     def test_missing_manifest_rebuilds_graphs(self, tmp_path, monkeypatch):
-        from igformer import cli, config as cfgmod, graphs as gmod
+        from igformer import cli, config as cfgmod, training
         data = self.prepare(tmp_path, P=8, T=64)
         (data / "manifest.json").unlink()
         cfg = cfgmod.parse_config(self.GEOMETRY.format(P=8, T=64))
-        real = gmod.build_interaction_graphs
+        real = training.build_interaction_graphs
         builds = []
 
         def counting(*args):
             builds.append(args)
             return real(*args)
 
-        monkeypatch.setattr(gmod, "build_interaction_graphs", counting)
+        monkeypatch.setattr(training, "build_interaction_graphs", counting)
         prepared, _ = cli._load_prepared(data, cfg)
         assert len(builds) == len(prepared) == 4

@@ -2,6 +2,7 @@
 The full-pipeline brute-force oracle is the verify battery check
 `dsig.brute-force-oracle`."""
 
+import io
 import math
 
 import numpy as np
@@ -195,17 +196,17 @@ class TestSidecar:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         g = G.build_interaction_graphs(random_sample(rng), builtin_part_map(15), TINY, k=5)
-        m, k, ab, ba = G.read_sidecar(G.write_sidecar(g))
+        m, k, ab, ba = G.read_sidecar(io.BytesIO(G.write_sidecar(g)))
         assert (m, k) == (g.M, 5)
         assert np.array_equal(ab, g.dsig_ab)
         assert np.array_equal(ba, g.dsig_ba)
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):
-            G.read_sidecar(b"WHAT" + b"\x00" * 16)
+            G.read_sidecar(io.BytesIO(b"WHAT" + b"\x00" * 16))
 
     def test_truncated(self):
         rng = np.random.default_rng(13)
         g = G.build_interaction_graphs(random_sample(rng), builtin_part_map(15), TINY, k=5)
         with pytest.raises(ParseError):
-            G.read_sidecar(G.write_sidecar(g)[:-1])
+            G.read_sidecar(io.BytesIO(G.write_sidecar(g)[:-1]))

@@ -1,5 +1,7 @@
 """Skeleton ingestion: parser fixtures, padding, part maps, noise, canonical IO."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -308,7 +310,7 @@ class TestCanonicalFormat:
 
     def test_round_trip_bit_exact(self):
         s = self.sample()
-        out = sk.read_canonical(sk.write_canonical(s))
+        out = sk.read_canonical(io.BytesIO(sk.write_canonical(s)))
         assert np.array_equal(out.person_a.coords, s.person_a.coords)
         assert np.array_equal(out.person_b.coords, s.person_b.coords)
         assert out.label == s.label
@@ -316,16 +318,16 @@ class TestCanonicalFormat:
 
     def test_double_round_trip(self):
         blob = sk.write_canonical(self.sample())
-        assert sk.write_canonical(sk.read_canonical(blob)) == blob
+        assert sk.write_canonical(sk.read_canonical(io.BytesIO(blob))) == blob
 
     def test_bad_magic(self):
         with pytest.raises(ParseError):
-            sk.read_canonical(b"NOPE" + b"\x00" * 64)
+            sk.read_canonical(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
     def test_truncated_payload(self):
         blob = sk.write_canonical(self.sample())
         with pytest.raises(ParseError):
-            sk.read_canonical(blob[:-8])
+            sk.read_canonical(io.BytesIO(blob[:-8]))
 
 
 def test_mismatched_persons_rejected():

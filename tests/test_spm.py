@@ -55,20 +55,6 @@ class TestGeometry:
         assert cfg.L == 25
         assert cfg.M(5) == 125
 
-    def test_formula_matches_conv_output_in_sweep(self):
-        rng = np.random.default_rng(4)
-        for _ in range(40):
-            t = int(rng.integers(8, 64))
-            p = int(rng.integers(2, 8))
-            stride = int(rng.integers(1, 7))
-            padding = int(rng.integers(0, p))  # keep clipped windows nonempty
-            if spm.conv_steps(t, p, stride, padding) < 1:
-                continue
-            cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, T=t)
-            part_map, kernel, bias = tiny_setup(rng, cfg, D=2)
-            bpt = spm.spm_forward(make_seq(rng, t=t), part_map, cfg, kernel, bias)
-            assert bpt.tokens.shape[0] == part_map.B * cfg.L
-
     def test_degenerate_geometry_rejected(self):
         with pytest.raises(ConfigError):
             spm.SpmConfig(P=32, stride=10, padding=0, T=16)

@@ -3,15 +3,18 @@ semantics on hand cases. The finite-difference check of every op's backward
 is the `tensor.gradcheck.*` family of the verify battery."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import igformer.tensor as T
-from igformer import spm
+from igformer import spm, training as tr
+from igformer.config import load_config
 from igformer.errors import ConfigError, NumericError, ShapeError, UsageError
 from igformer.gradcheck import numeric_grad
-from igformer.skeleton import BodyPartMap, SkeletonSequence
+from igformer.model import init_params
+from igformer.skeleton import BodyPartMap, SkeletonSequence, builtin_part_map
 
 
 def matmul_oracle(a, b):
@@ -124,13 +127,6 @@ class TestConv2d:
                                 T.Tensor(np.zeros(3)))
         assert out.data.shape == (1, 3)
 
-    def test_default_geometry_gives_25_steps(self):
-        assert spm.conv_steps(256, 16, 10, 2) == 25
-        windows = one_part_windows(np.zeros((256, 16, 3)), spm.SpmConfig())
-        out = T.project_patches(windows, T.Tensor(np.zeros((4, 16, 16, 3))),
-                                T.Tensor(np.zeros(4)))
-        assert out.data.shape == (25, 4)
-
     def test_hand_unrolled_window_sums(self):
         # all-ones 4-frame, 2-joint input, all-ones 1x2x2x3 kernel: three
         # windows of 2*2*3 ones each
@@ -138,24 +134,6 @@ class TestConv2d:
         windows = one_part_windows(np.ones((4, 2, 3)), cfg)
         out = T.project_patches(windows, T.Tensor(np.ones((1, 2, 2, 3))), T.Tensor(np.zeros(1)))
         assert np.array_equal(out.data, np.array([[12.0], [12.0], [12.0]]))
-
-    def test_step_count_formula_matches_windows(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            t = int(rng.integers(4, 40))
-            p = int(rng.integers(1, min(t, 9) + 1))
-            stride = int(rng.integers(1, 6))
-            padding = int(rng.integers(0, 4))
-            want = spm.conv_steps(t, p, stride, padding)
-            if want < 1:
-                continue
-            cfg = spm.SpmConfig(P=p, stride=stride, padding=padding, T=t)
-            windows = one_part_windows(rng.normal(size=(t, p, 3)), cfg)
-            # enumerate the windows directly on the padded sequence
-            xpad = np.pad(np.zeros((t, p)), ((padding, padding), (0, 0)))
-            count = sum(1 for j in range(xpad.shape[0])
-                        if j % stride == 0 and j + p <= xpad.shape[0])
-            assert windows.shape[1] == want == count
 
     def test_too_short_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -274,6 +252,26 @@ class TestDtypeConfig:
         try:
             x = T.Tensor([1.0, 2.0])
             assert x.data.dtype == np.float32
+        finally:
+            T.set_default_dtype(np.float64)
+
+    def test_float32_computes_in_float32(self):
+        cfg = load_config(Path(__file__).parent.parent / "configs" / "synth-tiny.ini")
+        part_map = builtin_part_map(15)
+        T.set_default_dtype(np.float32)
+        try:
+            model = init_params(cfg.model, seed=0, part_map=part_map)
+            data = tr.prepare_dataset(tr.make_synth_dataset(2, T=cfg.spm.T, seed=1), part_map,
+                                      cfg.spm, cfg.dsig.k)
+            sample, graphs = data[0].sample, data[0].graphs
+            loss, logits = model.loss(sample, graphs)
+            loss.backward()
+            params = list(model.named_parameters().values())
+            arrays = [model.tokenize(sample.person_a).tokens.data, logits.data, loss.data]
+            assert {a.dtype for a in arrays + [p.grad for p in params]} == {np.dtype(np.float32)}
+            # one SGD step (a one-batch epoch) keeps the parameters float32
+            tr.train(model, data, tr.TrainConfig(epochs=1, batch_size=2, milestones=()))
+            assert {p.data.dtype for p in params} == {np.dtype(np.float32)}
         finally:
             T.set_default_dtype(np.float64)
 
